@@ -40,23 +40,37 @@ std::string Slug(const std::string& name) {
   return out;
 }
 
-/// A durable session with a prelude of telemetry, deterministic in `dir` only.
-std::unique_ptr<KeaSession> MakeDurableSession(const std::string& dir) {
-  KeaSession::Config config;
-  config.machines = kMachines;
-  config.seed = 7;
-  auto session = std::move(KeaSession::Create(config)).value();
-  EXPECT_TRUE(session->EnableDurability(dir).ok());
-  EXPECT_TRUE(session->Simulate(kPreludeHours).ok());
-  return session;
-}
-
 KeaSession::GuardedRoundOptions RoundOptions() {
   KeaSession::GuardedRoundOptions options;
   options.lookback_hours = kPreludeHours;
   options.rollout.wave_fractions = {0.5, 1.0};
   options.rollout.observe_hours_per_wave = 6;
   options.rollout.baseline_hours = 12;
+  return options;
+}
+
+/// A session with a prelude of telemetry; durable in `dir` when it is set.
+std::unique_ptr<KeaSession> MakeSession(const std::string& dir) {
+  KeaSession::Config config;
+  config.machines = kMachines;
+  config.seed = 7;
+  auto session = std::move(KeaSession::Create(config)).value();
+  if (!dir.empty()) {
+    EXPECT_TRUE(session->EnableDurability(dir).ok());
+  }
+  EXPECT_TRUE(session->Simulate(kPreludeHours).ok());
+  return session;
+}
+
+/// A durable session with a prelude of telemetry, deterministic in `dir` only.
+std::unique_ptr<KeaSession> MakeDurableSession(const std::string& dir) {
+  return MakeSession(dir);
+}
+
+/// An impossible guardrail — latency must halve — trips the canary wave.
+KeaSession::GuardedRoundOptions RollbackRoundOptions() {
+  KeaSession::GuardedRoundOptions options = RoundOptions();
+  options.rollout.guardrails.max_latency_ratio = 0.5;
   return options;
 }
 
@@ -211,11 +225,10 @@ TEST(CrashRecoveryTest, SweepEveryCrashPointInConvergingRound) {
 }
 
 TEST(CrashRecoveryTest, SweepEveryCrashPointThroughRollback) {
-  // An impossible guardrail — latency must halve — trips the canary wave, so
-  // this sweep covers the rollback step's crash points: a crash between the
+  // The canary wave trips, so this sweep covers the rollback step's crash
+  // points: a crash between the
   // journaled rollback intent and its effect must not lose the rollback.
-  auto options = RoundOptions();
-  options.rollout.guardrails.max_latency_ratio = 0.5;
+  auto options = RollbackRoundOptions();
 
   const std::string ref_dir = FreshDir("crash_ref_rollback");
   std::string pre_round_cluster;
@@ -234,6 +247,34 @@ TEST(CrashRecoveryTest, SweepEveryCrashPointThroughRollback) {
   EXPECT_TRUE(names.count("rollout.rollback.post_record"));
 
   SweepCrashPoints(ref, options, "rollback");
+}
+
+TEST(CrashRecoveryTest, DurableRoundMatchesPlainRound) {
+  // Journaling and per-step checkpoints must not change the round: a durable
+  // session's converging and rolled-back rounds are bit-identical to a plain
+  // session's.
+  const std::pair<std::string, KeaSession::GuardedRoundOptions> cases[] = {
+      {"converge", RoundOptions()}, {"rollback", RollbackRoundOptions()}};
+  for (const auto& [tag, options] : cases) {
+    SCOPED_TRACE(tag);
+    auto plain = MakeSession("");
+    auto plain_round = plain->RunGuardedTuningRound(options);
+    ASSERT_TRUE(plain_round.ok()) << plain_round.status();
+
+    auto durable = MakeDurableSession(FreshDir("crash_durable_vs_plain_" + tag));
+    auto durable_round = durable->RunGuardedTuningRound(options);
+    ASSERT_TRUE(durable_round.ok()) << durable_round.status();
+
+    EXPECT_EQ(plain_round->rollout.outcome,
+              tag == "converge"
+                  ? core::GuardrailedRollout::Outcome::kConverged
+                  : core::GuardrailedRollout::Outcome::kRolledBack);
+    EXPECT_EQ(ReportSignature(plain_round->rollout),
+              ReportSignature(durable_round->rollout));
+    EXPECT_EQ(ClusterSignature(*plain), ClusterSignature(*durable));
+    EXPECT_EQ(plain->store().ToCsv(), durable->store().ToCsv());
+    EXPECT_EQ(plain->now(), durable->now());
+  }
 }
 
 TEST(CrashRecoveryTest, ResumeOfCleanSessionIsBitIdentical) {
