@@ -11,6 +11,7 @@
 #include "core/deployment_ledger.h"
 #include "core/experiment_fabric.h"
 #include "core/guardrailed_rollout.h"
+#include "core/journaled_step.h"
 #include "core/model_health.h"
 #include "core/validation.h"
 #include "core/whatif.h"
@@ -316,16 +317,20 @@ class KeaSession {
   /// ledger_durable_seq and used on resume to split replay from re-drive).
   Status WriteCheckpoint(uint64_t covered_seq);
 
-  /// RunGuardedTuningRound body when durability is on: plan journaled at
-  /// ROUND_STARTED, waves driven through ExecuteJournaled, outcome sealed at
-  /// ROUND_FINISHED.
-  StatusOr<GuardedRound> RunGuardedTuningRoundDurable(
-      const GuardedRoundOptions& options);
+  /// The journal context of guarded round or fabric run `run`; the drivers
+  /// pass it only when durability is on.
+  core::JournalContext JournalFor(int64_t run);
 
-  /// RunExperimentFabric body when durability is on: queue sealed at
-  /// FABRIC_STARTED, flights driven through the fabric's journaled steps,
-  /// outcome sealed at FABRIC_FINISHED.
-  StatusOr<core::ExperimentFabric::Report> RunExperimentFabricDurable(
+  /// RunGuardedTuningRound body outside safe mode, one JournaledStep per
+  /// transition: plan recorded at ROUND_STARTED, waves driven through
+  /// GuardrailedRollout::Execute, outcome sealed at ROUND_FINISHED.
+  /// Journaled exactly when durability is on.
+  StatusOr<GuardedRound> RunRolloutRound(const GuardedRoundOptions& options);
+
+  /// RunExperimentFabric body: queue sealed at FABRIC_STARTED, flights
+  /// driven through the fabric's steps, outcome sealed at FABRIC_FINISHED.
+  /// Journaled exactly when durability is on.
+  StatusOr<core::ExperimentFabric::Report> RunFabric(
       const std::vector<core::FlightRequest>& requests,
       const FabricRoundOptions& options);
 
@@ -389,8 +394,9 @@ class KeaSession {
   int64_t round_count_ = 0;
   /// Fabric runs completed (numbers the ledger's fabric keys).
   int64_t fabric_count_ = 0;
-  /// True while a journaled round drives Simulate() via its observation
-  /// windows — those checkpoints are per-step, not per-Simulate.
+  /// True while a round or fabric run drives Simulate() via its observation
+  /// windows — a durable session's checkpoints are then per-step, not
+  /// per-Simulate.
   bool in_journaled_round_ = false;
   /// Construction-time knobs remembered so checkpoints are self-contained.
   Config config_;

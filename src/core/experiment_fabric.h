@@ -133,16 +133,13 @@ class ExperimentFabric {
   /// Advances the world (simulate + ingest) by `hours`, appending telemetry
   /// to the store passed to Run.
   using AdvanceFn = std::function<Status(int hours)>;
-  /// Same durability context as GuardrailedRollout: ledger + durable_seq +
-  /// round number + per-step checkpoint hook.
-  using JournalContext = GuardrailedRollout::JournalContext;
-
   explicit ExperimentFabric(const Options& options);
 
-  /// Runs the whole request queue to completion. `ctx` may be null (no
-  /// journaling, e.g. what-if exploration); with a context every transition
-  /// is journaled and checkpointed, and a crashed run re-driven through the
-  /// same requests finishes bit-identically. Guardrail trips are reported per
+  /// Runs the whole request queue to completion as a sequence of
+  /// JournaledSteps. `ctx` may be null (no journaling, e.g. what-if
+  /// exploration); with a context every transition is journaled and
+  /// checkpointed, and a crashed run re-driven through the same requests
+  /// finishes bit-identically. Guardrail trips are reported per
   /// flight, never as a non-OK status. On return the cluster configuration is
   /// restored to its entry state (every flight ends or is rolled back).
   StatusOr<Report> Run(const std::vector<FlightRequest>& requests,

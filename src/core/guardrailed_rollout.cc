@@ -15,10 +15,7 @@ namespace kea::core {
 namespace {
 
 // Deterministic rollout counters: wave/trip/rollback totals are logical
-// events (the rollout loop is single-threaded). The durable.step_* trio
-// classifies journaled steps on resume — REPLAY (checkpoint already holds
-// the effect), RE-DRIVE (journaled intent, effect re-run), FRESH (new) —
-// the audit trail that explains what a recovery actually did.
+// events (the rollout loop is single-threaded).
 obs::Counter* WavesCounter() {
   static obs::Counter* c = obs::Registry::Get().GetCounter("rollout.waves");
   return c;
@@ -37,21 +34,6 @@ obs::Counter* MachinesRestoredCounter() {
       obs::Registry::Get().GetCounter("rollout.machines_restored");
   return c;
 }
-obs::Counter* StepReplayedCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_replayed");
-  return c;
-}
-obs::Counter* StepRedrivenCounter() {
-  static obs::Counter* c =
-      obs::Registry::Get().GetCounter("durable.step_redriven");
-  return c;
-}
-obs::Counter* StepFreshCounter() {
-  static obs::Counter* c = obs::Registry::Get().GetCounter("durable.step_fresh");
-  return c;
-}
-
 /// Guardrail metrics of one telemetry window restricted to a machine set.
 struct WindowMetrics {
   size_t records = 0;
@@ -157,32 +139,16 @@ Status GuardrailedRollout::ValidateOptions() const {
   return Status::OK();
 }
 
-StatusOr<GuardrailedRollout::MachineSnapshot> GuardrailedRollout::ApplyWave(
-    const std::vector<int>& machine_ids,
-    const std::map<sim::MachineGroupKey, int>& targets, sim::Cluster* cluster) {
-  MachineSnapshot snapshot;
-  auto& machines = cluster->mutable_machines();
-  for (int id : machine_ids) {
-    if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
-      return Status::OutOfRange("machine id " + std::to_string(id));
-    }
-    sim::Machine& m = machines[static_cast<size_t>(id)];
-    auto it = targets.find(m.group());
-    if (it == targets.end() || m.max_containers == it->second) continue;
-    snapshot.emplace_back(id, m.max_containers);
-    m.max_containers = it->second;
-  }
-  return snapshot;
-}
-
-GuardrailEvaluation GuardrailedRollout::Evaluate(
-    const telemetry::TelemetryStore& store, const std::vector<int>& machine_ids,
-    sim::HourIndex baseline_begin, sim::HourIndex baseline_end,
-    sim::HourIndex begin, sim::HourIndex end) const {
+GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
+                                       const GuardrailThresholds& t,
+                                       const std::vector<int>& machine_ids,
+                                       sim::HourIndex baseline_begin,
+                                       sim::HourIndex baseline_end,
+                                       sim::HourIndex begin, sim::HourIndex end) {
   std::unordered_set<int> ids(machine_ids.begin(), machine_ids.end());
-  const double slo_target = options_.guardrails.slo_target_latency_s;
   WindowMetrics baseline = Measure(store, ids, baseline_begin, baseline_end);
-  WindowMetrics observed = Measure(store, ids, begin, end, slo_target);
+  WindowMetrics observed =
+      Measure(store, ids, begin, end, t.slo_target_latency_s);
 
   GuardrailEvaluation eval;
   eval.baseline_latency_s = baseline.latency_s;
@@ -197,7 +163,6 @@ GuardrailEvaluation GuardrailedRollout::Evaluate(
   eval.measurable = baseline.records > 0 && observed.records > 0;
   if (!eval.measurable) return eval;
 
-  const GuardrailThresholds& t = options_.guardrails;
   eval.latency_ok =
       baseline.latency_s > 0.0
           ? observed.latency_s <= baseline.latency_s * t.max_latency_ratio
@@ -221,113 +186,13 @@ GuardrailEvaluation GuardrailedRollout::Evaluate(
 }
 
 void GuardrailedRollout::Restore(const std::vector<MachineSnapshot>& snapshots,
-                                 sim::Cluster* cluster, size_t* restored) const {
+                                 sim::Cluster* cluster) const {
   auto& machines = cluster->mutable_machines();
   for (auto wave = snapshots.rbegin(); wave != snapshots.rend(); ++wave) {
     for (auto entry = wave->rbegin(); entry != wave->rend(); ++entry) {
       machines[static_cast<size_t>(entry->first)].max_containers = entry->second;
-      ++*restored;
     }
   }
-}
-
-StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
-    const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
-    const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance) {
-  KEA_RETURN_IF_ERROR(ValidateOptions());
-  if (cluster == nullptr) return Status::InvalidArgument("null cluster");
-  if (store == nullptr) return Status::InvalidArgument("null telemetry store");
-  if (!advance) return Status::InvalidArgument("null advance function");
-  if (recommendations.empty()) {
-    return Status::InvalidArgument("no recommendations to roll out");
-  }
-
-  std::map<sim::MachineGroupKey, int> targets =
-      ClampTargets(recommendations, options_.deploy);
-
-  Report report;
-  if (targets.empty()) {
-    report.outcome = Outcome::kNoChange;
-    return report;
-  }
-
-  int num_sc = cluster->num_subclusters();
-  if (num_sc <= 0) return Status::FailedPrecondition("cluster has no sub-clusters");
-
-  std::vector<MachineSnapshot> snapshots;
-  std::vector<int> treated;  ///< Cumulative machines changed across waves.
-  sim::HourIndex now = start_hour;
-  sim::HourIndex baseline_begin = std::max(0, start_hour - options_.baseline_hours);
-
-  int next_sc = 0;
-  for (size_t w = 0; w < options_.wave_fractions.size(); ++w) {
-    int end_sc = static_cast<int>(
-        std::ceil(options_.wave_fractions[w] * static_cast<double>(num_sc)));
-    end_sc = std::clamp(end_sc, next_sc, num_sc);
-    if (w + 1 == options_.wave_fractions.size() &&
-        options_.wave_fractions[w] >= 1.0) {
-      end_sc = num_sc;  // Final full-fleet wave sweeps every remainder.
-    }
-    if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
-
-    KEA_TRACE_SPAN("rollout.wave", {{"wave", std::to_string(w)}});
-    WavesCounter()->Increment();
-    WaveResult wave;
-    wave.wave = static_cast<int>(w);
-    std::vector<int> wave_machines;
-    for (int sc = next_sc; sc < end_sc; ++sc) {
-      wave.sub_clusters.push_back(sc);
-      std::vector<int> ids = cluster->SubClusterMachines(sc);
-      wave_machines.insert(wave_machines.end(), ids.begin(), ids.end());
-    }
-    next_sc = end_sc;
-
-    auto snapshot = ApplyWave(wave_machines, targets, cluster);
-    if (!snapshot.ok()) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
-      return snapshot.status();
-    }
-    wave.machines_changed = snapshot->size();
-    if (wave.machines_changed == 0) {
-      // No targeted machine in this wave: nothing to observe, trivially safe.
-      wave.passed = true;
-      report.waves.push_back(std::move(wave));
-      continue;
-    }
-    snapshots.push_back(std::move(snapshot).value());
-    for (const auto& entry : snapshots.back()) treated.push_back(entry.first);
-
-    wave.observe_begin = now;
-    Status advanced = advance(options_.observe_hours_per_wave);
-    if (!advanced.ok()) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
-      return advanced;
-    }
-    now += options_.observe_hours_per_wave;
-    wave.observe_end = now;
-
-    wave.eval = Evaluate(*store, treated, baseline_begin, start_hour,
-                         wave.observe_begin, wave.observe_end);
-    wave.passed = wave.eval.pass();
-    bool tripped = !wave.passed;
-    report.waves.push_back(std::move(wave));
-
-    if (tripped) {
-      TripsCounter()->Increment();
-      report.tripped_wave = static_cast<int>(w);
-      Restore(snapshots, cluster, &report.machines_restored);
-      RollbacksCounter()->Increment();
-      MachinesRestoredCounter()->Increment(report.machines_restored);
-      report.outcome = Outcome::kRolledBack;
-      return report;
-    }
-  }
-
-  report.outcome = Outcome::kConverged;
-  return report;
 }
 
 std::string GuardrailedRollout::EncodeEvaluation(const GuardrailEvaluation& eval) {
@@ -372,34 +237,31 @@ Status GuardrailedRollout::DecodeEvaluation(const std::string& blob,
   return Status::OK();
 }
 
-StatusOr<GuardrailedRollout::Report> GuardrailedRollout::ExecuteJournaled(
+StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
     const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
     const AdvanceFn& advance, JournalContext* ctx) {
-  if (ctx == nullptr || ctx->ledger == nullptr) {
-    return Status::InvalidArgument("null journal context / ledger");
-  }
+  KEA_ASSIGN_OR_RETURN(JournaledStep step, JournaledStep::Bind(ctx));
   Report report;
   std::vector<MachineSnapshot> snapshots;
-  Status run = RunJournaled(recommendations, cluster, store, start_hour, advance,
-                            ctx, &report, &snapshots);
+  Status run = RunWaves(recommendations, cluster, store, start_hour, advance,
+                        step, &report, &snapshots);
   if (!run.ok()) {
     // An injected crash models abrupt process death: leave the world exactly
     // as the dying process would — resume will pick it up from the journal.
-    // Real errors restore the in-memory cluster, mirroring Execute().
+    // Real errors restore the in-memory cluster to its entry state.
     if (!CrashPoints::IsCrash(run) && cluster != nullptr) {
-      size_t restored = 0;
-      Restore(snapshots, cluster, &restored);
+      Restore(snapshots, cluster);
     }
     return run;
   }
   return report;
 }
 
-Status GuardrailedRollout::RunJournaled(
+Status GuardrailedRollout::RunWaves(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
     const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
-    const AdvanceFn& advance, JournalContext* ctx, Report* report,
+    const AdvanceFn& advance, const JournaledStep& step, Report* report,
     std::vector<MachineSnapshot>* snapshots) {
   KEA_RETURN_IF_ERROR(ValidateOptions());
   if (cluster == nullptr) return Status::InvalidArgument("null cluster");
@@ -408,48 +270,6 @@ Status GuardrailedRollout::RunJournaled(
   if (recommendations.empty()) {
     return Status::InvalidArgument("no recommendations to roll out");
   }
-
-  // One journaled step: write-ahead append under an idempotency key, then the
-  // effect, then a checkpoint covering the step. Three phases on resume:
-  //   - seq <  durable_seq: REPLAY — the restored checkpoint already holds
-  //     the effect; only the recorded payload is returned for bookkeeping.
-  //   - seq >= durable_seq: RE-DRIVE — recorded intent whose effect was lost;
-  //     the effect runs again from the restored (pre-effect) state.
-  //   - absent: FRESH — record intent, run the effect.
-  // Crash points bracket the append so the sweep covers both "died before
-  // journaling" (step re-runs whole) and "journaled but died before the
-  // effect was durable" (step re-drives).
-  auto step = [&](DeploymentLedger::EventType type, const std::string& key,
-                  const std::string& crash,
-                  const std::function<std::string()>& make_payload,
-                  const std::function<Status(const std::string&)>& effect,
-                  std::string* out_payload) -> Status {
-    const DeploymentLedger::Event* ev = ctx->ledger->Find(key);
-    if (ev != nullptr && ev->seq < ctx->durable_seq) {
-      StepReplayedCounter()->Increment();
-      *out_payload = ev->payload;
-      return Status::OK();
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".pre"));
-    std::string payload;
-    uint64_t seq = 0;
-    if (ev != nullptr) {
-      StepRedrivenCounter()->Increment();
-      payload = ev->payload;
-      seq = ev->seq;
-    } else {
-      StepFreshCounter()->Increment();
-      payload = make_payload();
-      KEA_ASSIGN_OR_RETURN(const DeploymentLedger::Event* appended,
-                           ctx->ledger->Append(type, key, payload));
-      seq = appended->seq;
-    }
-    KEA_RETURN_IF_ERROR(CrashPoints::Check(crash + ".post_record"));
-    if (effect) KEA_RETURN_IF_ERROR(effect(payload));
-    if (ctx->checkpoint) KEA_RETURN_IF_ERROR(ctx->checkpoint(seq + 1));
-    *out_payload = payload;
-    return Status::OK();
-  };
 
   std::map<sim::MachineGroupKey, int> targets =
       ClampTargets(recommendations, options_.deploy);
@@ -462,7 +282,7 @@ Status GuardrailedRollout::RunJournaled(
   if (num_sc <= 0) return Status::FailedPrecondition("cluster has no sub-clusters");
 
   std::string rkey = "r";
-  rkey += std::to_string(ctx->round);
+  rkey += std::to_string(step.round());
   std::vector<int> treated;
   sim::HourIndex now = start_hour;
   sim::HourIndex baseline_begin = std::max(0, start_hour - options_.baseline_hours);
@@ -471,16 +291,17 @@ Status GuardrailedRollout::RunJournaled(
   bool tripped = false;
   for (size_t w = 0; w < options_.wave_fractions.size() && !tripped; ++w) {
     const std::string wkey = rkey + "/w" + std::to_string(w);
-    KEA_TRACE_SPAN("rollout.wave", {{"wave", std::to_string(w)},
-                                    {"key", wkey},
-                                    {"journaled", "1"}});
+    KEA_TRACE_SPAN("rollout.wave",
+                   {{"wave", std::to_string(w)},
+                    {"key", wkey},
+                    {"journaled", step.journaled() ? "1" : "0"}});
     WavesCounter()->Increment();
     WaveResult wave;
     wave.wave = static_cast<int>(w);
 
     // -- WAVE_STARTED: which sub-clusters this wave covers.
     std::string payload;
-    KEA_RETURN_IF_ERROR(step(
+    KEA_ASSIGN_OR_RETURN(payload, step.Run(
         DeploymentLedger::EventType::kWaveStarted, wkey + "/started",
         "rollout.wave_started",
         [&] {
@@ -498,7 +319,7 @@ Status GuardrailedRollout::RunJournaled(
           for (int sc = next_sc; sc < end_sc; ++sc) sw.PutInt(sc);
           return sw.Release();
         },
-        nullptr, &payload));
+        nullptr));
     {
       StateReader sr(payload);
       int end_sc = 0;
@@ -520,7 +341,7 @@ Status GuardrailedRollout::RunJournaled(
 
     // -- WAVE_APPLIED: per-machine (id, old, new) deltas, journaled before
     // the cluster is touched.
-    KEA_RETURN_IF_ERROR(step(
+    KEA_ASSIGN_OR_RETURN(payload, step.Run(
         DeploymentLedger::EventType::kWaveApplied, wkey + "/applied",
         "rollout.wave_applied",
         [&] {
@@ -558,8 +379,7 @@ Status GuardrailedRollout::RunJournaled(
             machines[static_cast<size_t>(id)].max_containers = new_max;
           }
           return Status::OK();
-        },
-        &payload));
+        }));
     MachineSnapshot snapshot;
     {
       StateReader sr(payload);
@@ -584,7 +404,7 @@ Status GuardrailedRollout::RunJournaled(
     for (const auto& entry : snapshots->back()) treated.push_back(entry.first);
 
     // -- WAVE_OBSERVED: advance the world through the observation window.
-    KEA_RETURN_IF_ERROR(step(
+    KEA_ASSIGN_OR_RETURN(payload, step.Run(
         DeploymentLedger::EventType::kWaveObserved, wkey + "/observed",
         "rollout.wave_observed",
         [&] {
@@ -593,8 +413,9 @@ Status GuardrailedRollout::RunJournaled(
           sw.PutI64(now + options_.observe_hours_per_wave);
           return sw.Release();
         },
-        [&](const std::string&) { return advance(options_.observe_hours_per_wave); },
-        &payload));
+        [&](const std::string&) {
+          return advance(options_.observe_hours_per_wave);
+        }));
     {
       StateReader sr(payload);
       int64_t begin = 0, end = 0;
@@ -609,16 +430,15 @@ Status GuardrailedRollout::RunJournaled(
     // on. A resumed round reuses the recorded verdict rather than judging
     // twice (the deterministic re-evaluation would match, but the record is
     // the authority).
-    KEA_RETURN_IF_ERROR(step(
+    KEA_ASSIGN_OR_RETURN(payload, step.Run(
         DeploymentLedger::EventType::kWaveVerdict, wkey + "/verdict",
         "rollout.wave_verdict",
         [&] {
-          GuardrailEvaluation eval =
-              Evaluate(*store, treated, baseline_begin, start_hour,
-                       wave.observe_begin, wave.observe_end);
-          return EncodeEvaluation(eval);
+          return EncodeEvaluation(EvaluateGuardrails(
+              *store, options_.guardrails, treated, baseline_begin, start_hour,
+              wave.observe_begin, wave.observe_end));
         },
-        nullptr, &payload));
+        nullptr));
     KEA_RETURN_IF_ERROR(DecodeEvaluation(payload, &wave.eval));
     wave.passed = wave.eval.pass();
     tripped = !wave.passed;
@@ -628,7 +448,7 @@ Status GuardrailedRollout::RunJournaled(
       TripsCounter()->Increment();
       report->tripped_wave = static_cast<int>(w);
       // -- ROLLBACK: restore every applied wave, newest first.
-      KEA_RETURN_IF_ERROR(step(
+      KEA_ASSIGN_OR_RETURN(payload, step.Run(
           DeploymentLedger::EventType::kRollback, rkey + "/rollback",
           "rollout.rollback",
           [&] {
@@ -638,12 +458,10 @@ Status GuardrailedRollout::RunJournaled(
             sw.PutU64(total);
             return sw.Release();
           },
-          [&](const std::string&) -> Status {
-            size_t restored = 0;
-            Restore(*snapshots, cluster, &restored);
+          [&](const std::string&) {
+            Restore(*snapshots, cluster);
             return Status::OK();
-          },
-          &payload));
+          }));
       StateReader sr(payload);
       uint64_t restored = 0;
       KEA_RETURN_IF_ERROR(sr.GetU64(&restored));

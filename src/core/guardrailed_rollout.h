@@ -8,7 +8,7 @@
 
 #include "common/status.h"
 #include "core/deployment.h"
-#include "core/deployment_ledger.h"
+#include "core/journaled_step.h"
 #include "sim/cluster.h"
 #include "telemetry/store.h"
 
@@ -70,6 +70,18 @@ struct GuardrailEvaluation {
   }
   std::string Describe() const;
 };
+
+/// Guardrail verdict for `machine_ids`: the observed window [begin, end)
+/// against the same machines' baseline window [baseline_begin, baseline_end).
+/// A window with no usable telemetry on either side is unmeasurable and trips.
+/// Rollout waves and fabric flights both judge with this one function, so
+/// they trip on the same evidence.
+GuardrailEvaluation EvaluateGuardrails(const telemetry::TelemetryStore& store,
+                                       const GuardrailThresholds& thresholds,
+                                       const std::vector<int>& machine_ids,
+                                       sim::HourIndex baseline_begin,
+                                       sim::HourIndex baseline_end,
+                                       sim::HourIndex begin, sim::HourIndex end);
 
 /// Staged deployment with guardrails and automatic rollback — the Section
 /// 5.2.2 discipline ("modify the configuration by a small margin", flighting
@@ -141,36 +153,19 @@ class GuardrailedRollout {
   /// Guardrail trips are reported via Report::outcome, not a non-OK status;
   /// errors (bad options, failing advance) leave the cluster rolled back to
   /// its entry state before returning.
+  ///
+  /// Every wave transition (started / applied / observed / guardrail verdict
+  /// / rollback) is a JournaledStep keyed idempotently as
+  /// "r<round>/w<wave>/<step>". With a journal context each is recorded
+  /// *before* its effect, so a crashed round resumed from its last checkpoint
+  /// re-drives pending steps exactly once and finishes bit-identical to an
+  /// uninterrupted run. An injected crash (kAborted) unwinds without touching
+  /// anything further, mirroring process death.
   StatusOr<Report> Execute(const std::vector<GroupRecommendation>& recommendations,
                            sim::Cluster* cluster,
                            const telemetry::TelemetryStore* store,
-                           sim::HourIndex start_hour, const AdvanceFn& advance);
-
-  /// Durability context for ExecuteJournaled. `durable_seq` is the ledger
-  /// sequence the restored checkpoint covers: ledger events below it are
-  /// replayed (bookkeeping only — their effects are already in the restored
-  /// state), events at or above it are re-driven. `checkpoint(covered_seq)`,
-  /// when set, persists the world after each journaled step; `covered_seq` is
-  /// the number of ledger events whose effects the persisted state contains.
-  struct JournalContext {
-    DeploymentLedger* ledger = nullptr;
-    uint64_t durable_seq = 0;
-    int round = 0;
-    std::function<Status(uint64_t covered_seq)> checkpoint;
-  };
-
-  /// Execute() with write-ahead journaling and crash-point hooks: every wave
-  /// transition (started / applied / observed / guardrail verdict / rollback)
-  /// is appended to the ledger *before* its effect, keyed idempotently as
-  /// "r<round>/w<wave>/<step>", so a crashed round resumed from its last
-  /// checkpoint re-drives pending steps exactly once and finishes
-  /// bit-identical to an uninterrupted run. An injected crash (kAborted)
-  /// unwinds without touching anything further — mirroring process death —
-  /// while real errors roll the in-memory cluster back as Execute() does.
-  StatusOr<Report> ExecuteJournaled(
-      const std::vector<GroupRecommendation>& recommendations,
-      sim::Cluster* cluster, const telemetry::TelemetryStore* store,
-      sim::HourIndex start_hour, const AdvanceFn& advance, JournalContext* ctx);
+                           sim::HourIndex start_hour, const AdvanceFn& advance,
+                           JournalContext* ctx = nullptr);
 
   /// Bit-exact codec for GuardrailEvaluation (used in WAVE_VERDICT payloads).
   static std::string EncodeEvaluation(const GuardrailEvaluation& eval);
@@ -181,29 +176,17 @@ class GuardrailedRollout {
   using MachineSnapshot = std::vector<std::pair<int, int>>;
 
   Status ValidateOptions() const;
-  /// Applies the per-group clamped targets to `machine_ids`; returns the
-  /// snapshot of prior values for the machines actually changed.
-  StatusOr<MachineSnapshot> ApplyWave(
-      const std::vector<int>& machine_ids,
-      const std::map<sim::MachineGroupKey, int>& targets, sim::Cluster* cluster);
-  /// Computes guardrail metrics over `machine_ids` in [begin, end).
-  GuardrailEvaluation Evaluate(const telemetry::TelemetryStore& store,
-                               const std::vector<int>& machine_ids,
-                               sim::HourIndex baseline_begin,
-                               sim::HourIndex baseline_end, sim::HourIndex begin,
-                               sim::HourIndex end) const;
   /// Restores all snapshots, newest wave first.
   void Restore(const std::vector<MachineSnapshot>& snapshots,
-               sim::Cluster* cluster, size_t* restored) const;
+               sim::Cluster* cluster) const;
 
-  /// Body of ExecuteJournaled; `snapshots` is owned by the caller so the
+  /// Body of Execute; `snapshots` is owned by the caller so the
   /// error path can roll back whatever was applied before the failure.
-  Status RunJournaled(const std::vector<GroupRecommendation>& recommendations,
-                      sim::Cluster* cluster,
-                      const telemetry::TelemetryStore* store,
-                      sim::HourIndex start_hour, const AdvanceFn& advance,
-                      JournalContext* ctx, Report* report,
-                      std::vector<MachineSnapshot>* snapshots);
+  Status RunWaves(const std::vector<GroupRecommendation>& recommendations,
+                  sim::Cluster* cluster, const telemetry::TelemetryStore* store,
+                  sim::HourIndex start_hour, const AdvanceFn& advance,
+                  const JournaledStep& step, Report* report,
+                  std::vector<MachineSnapshot>* snapshots);
 
   Options options_;
 };

@@ -479,6 +479,14 @@ TEST(ExperimentFabricTest, Validation) {
           .status()
           .code(),
       StatusCode::kOutOfRange);
+
+  // A journal context must carry a ledger.
+  JournalContext no_ledger;
+  EXPECT_EQ(
+      fabric.Run(good, &fx.cluster, &fx.store, fx.now, advance, &no_ledger)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
