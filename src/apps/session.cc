@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/session_checkpoint.h"
 #include "common/io.h"
 #include "common/journal.h"
 #include "common/snapshot.h"
@@ -16,9 +17,6 @@
 
 namespace kea::apps {
 namespace {
-
-constexpr char kLedgerFile[] = "/ledger.kea";
-constexpr char kCheckpointFile[] = "/checkpoint.kea";
 
 // Deterministic session-level counters: logical calls and simulated hours, not
 // wall clock.
@@ -59,326 +57,6 @@ Status DegradedRefusal(const Status& reason) {
   return Status::FailedPrecondition(
       "degraded durability: deployments refused until the storage plane "
       "heals (" + reason.message() + "); call TryRestoreDurability");
-}
-
-// ---- Bit-exact codecs for the checkpoint's "config" section. Everything a
-// session was constructed with goes in, so Resume() needs only the directory.
-
-void EncodeConfig(const KeaSession::Config& config,
-                  const KeaSession::IngestionConfig& ingestion,
-                  bool ingestion_enabled,
-                  const KeaSession::FleetChaosConfig& chaos, bool chaos_enabled,
-                  const KeaSession::SelfHealingConfig& healing,
-                  bool healing_enabled, StateWriter* w) {
-  w->PutInt(config.machines);
-  w->PutU64(config.seed);
-
-  const sim::PerfModel::Params& p = config.perf_params;
-  const double perf[] = {p.cores_per_container, p.task_cpu_work, p.task_input_mb,
-                         p.task_temp_mb,        p.interference,
-                         p.feature_speed_boost, p.feature_power_discount,
-                         p.power_elasticity,    p.power_util_exponent,
-                         p.ssd_base_gb,         p.ssd_gb_per_core_mean,
-                         p.ssd_gb_per_core_stddev, p.ram_base_gb,
-                         p.ram_gb_per_core_mean, p.ram_gb_per_core_stddev,
-                         p.nic_base_mbps,       p.nic_mbps_per_core_mean,
-                         p.nic_mbps_per_core_stddev};
-  for (double v : perf) w->PutDouble(v);
-
-  const sim::WorkloadSpec& ws = config.workload;
-  w->PutDouble(ws.base_demand_fraction);
-  w->PutDouble(ws.diurnal_amplitude);
-  w->PutDouble(ws.peak_hour);
-  w->PutDouble(ws.weekend_factor);
-  w->PutDouble(ws.demand_noise_sigma);
-  w->PutDouble(ws.weekly_growth);
-  w->PutU64(ws.task_types.size());
-  for (const sim::TaskType& t : ws.task_types) {
-    w->PutString(t.name);
-    w->PutDouble(t.cpu_work_multiplier);
-    w->PutDouble(t.input_mb_multiplier);
-    w->PutDouble(t.temp_mb_multiplier);
-    w->PutDouble(t.weight);
-  }
-
-  const sim::ClusterSpec& cs = config.cluster;
-  w->PutInt(cs.total_machines);
-  w->PutInt(cs.machines_per_rack);
-  w->PutU64(cs.sku_fractions.size());
-  for (double v : cs.sku_fractions) w->PutDouble(v);
-  w->PutU64(cs.baseline_max_containers.size());
-  for (int v : cs.baseline_max_containers) w->PutInt(v);
-  w->PutInt(cs.baseline_max_queued);
-  w->PutDouble(cs.sc2_fraction);
-  w->PutInt(cs.racks_per_subcluster);
-
-  const sim::FluidEngine::Options& eo = config.engine;
-  w->PutU64(eo.seed);
-  w->PutDouble(eo.placement_noise_sigma);
-  w->PutDouble(eo.utilization_noise);
-  w->PutDouble(eo.latency_noise_sigma);
-  w->PutDouble(eo.data_noise_sigma);
-  w->PutInt(eo.redistribution_rounds);
-  w->PutDouble(eo.failure_rate_per_hour);
-  w->PutDouble(eo.mean_repair_hours);
-
-  w->PutBool(ingestion_enabled);
-  const sim::FaultProfile& f = ingestion.faults;
-  w->PutDouble(f.drop_rate);
-  w->PutDouble(f.duplicate_rate);
-  w->PutDouble(f.non_finite_rate);
-  w->PutDouble(f.out_of_range_rate);
-  w->PutDouble(f.outlier_rate);
-  w->PutDouble(f.outlier_scale);
-  w->PutDouble(f.stuck_machine_fraction);
-  w->PutDouble(f.late_rate);
-  w->PutInt(f.max_late_hours);
-  w->PutDouble(f.transient_error_rate);
-  const telemetry::IngestionPipeline::Options& po = ingestion.pipeline;
-  w->PutBool(po.validate);
-  w->PutBool(po.deduplicate);
-  w->PutInt(po.max_lateness_hours);
-  w->PutInt(po.stuck_run_threshold);
-  w->PutInt(po.retry.max_attempts);
-  w->PutDouble(po.retry.initial_backoff_ms);
-  w->PutDouble(po.retry.backoff_multiplier);
-  w->PutDouble(po.retry.max_backoff_ms);
-  w->PutDouble(po.retry.jitter);
-  w->PutU64(po.retry.seed);
-  w->PutU64(ingestion.seed);
-
-  // Fleet chaos + self-healing (appended after the PR-4 layout; DecodeConfig
-  // treats their absence as "not enabled" so older checkpoints still load).
-  w->PutBool(chaos_enabled);
-  const sim::FleetFaultProfile& fp = chaos.profile;
-  w->PutDouble(fp.crash_rate_per_hour);
-  w->PutDouble(fp.mean_repair_hours);
-  w->PutDouble(fp.rack_outage_rate_per_hour);
-  w->PutDouble(fp.mean_rack_outage_hours);
-  w->PutDouble(fp.degrade_rate_per_hour);
-  w->PutDouble(fp.degrade_severity);
-  w->PutDouble(fp.recovery_per_hour);
-  w->PutDouble(fp.permanent_loss_rate_per_hour);
-  w->PutU64(chaos.seed);
-
-  w->PutBool(healing_enabled);
-  const ml::PageHinkleyDetector::Options& ph = healing.drift.page_hinkley;
-  w->PutDouble(ph.delta);
-  w->PutDouble(ph.lambda);
-  w->PutInt(ph.warmup);
-  w->PutDouble(ph.min_stddev);
-  w->PutDouble(ph.max_z);
-  w->PutInt(healing.drift.staleness_hours);
-  const core::ModelHealth::Options& mh = healing.health;
-  w->PutDouble(mh.residual_tolerance);
-  w->PutDouble(mh.residual_inflation);
-  w->PutDouble(mh.min_baseline_error);
-  w->PutInt(mh.refit_delay_hours);
-  w->PutInt(mh.refit_lookback_hours);
-  w->PutInt(mh.holdout_hours);
-  w->PutDouble(mh.validation_tolerance);
-  w->PutInt(mh.probation_rounds);
-  w->PutDouble(mh.probation_margin_scale);
-}
-
-Status DecodeConfig(const std::string& blob, KeaSession::Config* config,
-                    KeaSession::IngestionConfig* ingestion,
-                    bool* ingestion_enabled,
-                    KeaSession::FleetChaosConfig* chaos, bool* chaos_enabled,
-                    KeaSession::SelfHealingConfig* healing,
-                    bool* healing_enabled) {
-  StateReader r(blob);
-  KEA_RETURN_IF_ERROR(r.GetInt(&config->machines));
-  KEA_RETURN_IF_ERROR(r.GetU64(&config->seed));
-
-  sim::PerfModel::Params& p = config->perf_params;
-  double* perf[] = {&p.cores_per_container, &p.task_cpu_work, &p.task_input_mb,
-                    &p.task_temp_mb,        &p.interference,
-                    &p.feature_speed_boost, &p.feature_power_discount,
-                    &p.power_elasticity,    &p.power_util_exponent,
-                    &p.ssd_base_gb,         &p.ssd_gb_per_core_mean,
-                    &p.ssd_gb_per_core_stddev, &p.ram_base_gb,
-                    &p.ram_gb_per_core_mean, &p.ram_gb_per_core_stddev,
-                    &p.nic_base_mbps,       &p.nic_mbps_per_core_mean,
-                    &p.nic_mbps_per_core_stddev};
-  for (double* v : perf) KEA_RETURN_IF_ERROR(r.GetDouble(v));
-
-  sim::WorkloadSpec& ws = config->workload;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.base_demand_fraction));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.diurnal_amplitude));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.peak_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.weekend_factor));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.demand_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ws.weekly_growth));
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  ws.task_types.assign(count, sim::TaskType{});
-  for (sim::TaskType& t : ws.task_types) {
-    KEA_RETURN_IF_ERROR(r.GetString(&t.name));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.cpu_work_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.input_mb_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.temp_mb_multiplier));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&t.weight));
-  }
-
-  sim::ClusterSpec& cs = config->cluster;
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.total_machines));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.machines_per_rack));
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  cs.sku_fractions.assign(count, 0.0);
-  for (double& v : cs.sku_fractions) KEA_RETURN_IF_ERROR(r.GetDouble(&v));
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  cs.baseline_max_containers.assign(count, 0);
-  for (int& v : cs.baseline_max_containers) KEA_RETURN_IF_ERROR(r.GetInt(&v));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.baseline_max_queued));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&cs.sc2_fraction));
-  KEA_RETURN_IF_ERROR(r.GetInt(&cs.racks_per_subcluster));
-
-  sim::FluidEngine::Options& eo = config->engine;
-  KEA_RETURN_IF_ERROR(r.GetU64(&eo.seed));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.placement_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.utilization_noise));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.latency_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.data_noise_sigma));
-  KEA_RETURN_IF_ERROR(r.GetInt(&eo.redistribution_rounds));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.failure_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eo.mean_repair_hours));
-
-  KEA_RETURN_IF_ERROR(r.GetBool(ingestion_enabled));
-  sim::FaultProfile& f = ingestion->faults;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.drop_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.duplicate_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.non_finite_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.out_of_range_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.outlier_rate));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.outlier_scale));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.stuck_machine_fraction));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.late_rate));
-  KEA_RETURN_IF_ERROR(r.GetInt(&f.max_late_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&f.transient_error_rate));
-  telemetry::IngestionPipeline::Options& po = ingestion->pipeline;
-  KEA_RETURN_IF_ERROR(r.GetBool(&po.validate));
-  KEA_RETURN_IF_ERROR(r.GetBool(&po.deduplicate));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.max_lateness_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.stuck_run_threshold));
-  KEA_RETURN_IF_ERROR(r.GetInt(&po.retry.max_attempts));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.initial_backoff_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.backoff_multiplier));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.max_backoff_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&po.retry.jitter));
-  KEA_RETURN_IF_ERROR(r.GetU64(&po.retry.seed));
-  KEA_RETURN_IF_ERROR(r.GetU64(&ingestion->seed));
-
-  // Pre-chaos checkpoints end here.
-  *chaos_enabled = false;
-  *healing_enabled = false;
-  if (r.AtEnd()) return Status::OK();
-
-  KEA_RETURN_IF_ERROR(r.GetBool(chaos_enabled));
-  sim::FleetFaultProfile& fp = chaos->profile;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.crash_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.mean_repair_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.rack_outage_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.mean_rack_outage_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.degrade_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.degrade_severity));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.recovery_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&fp.permanent_loss_rate_per_hour));
-  KEA_RETURN_IF_ERROR(r.GetU64(&chaos->seed));
-
-  KEA_RETURN_IF_ERROR(r.GetBool(healing_enabled));
-  ml::PageHinkleyDetector::Options& ph = healing->drift.page_hinkley;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.delta));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.lambda));
-  KEA_RETURN_IF_ERROR(r.GetInt(&ph.warmup));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.min_stddev));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&ph.max_z));
-  KEA_RETURN_IF_ERROR(r.GetInt(&healing->drift.staleness_hours));
-  core::ModelHealth::Options& mh = healing->health;
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.residual_tolerance));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.residual_inflation));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.min_baseline_error));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.refit_delay_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.refit_lookback_hours));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.holdout_hours));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.validation_tolerance));
-  KEA_RETURN_IF_ERROR(r.GetInt(&mh.probation_rounds));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&mh.probation_margin_scale));
-  return Status::OK();
-}
-
-// ---- Bit-exact codec for the plan journaled at ROUND_STARTED. The journal,
-// not a refit, is the authority on resume: the simulation clock has advanced
-// into the rollout, so refitting would see a different window.
-
-void EncodePlan(const YarnConfigTuner::Plan& plan, StateWriter* w) {
-  w->PutU64(plan.recommendations.size());
-  for (const core::GroupRecommendation& rec : plan.recommendations) {
-    w->PutInt(rec.group.sc);
-    w->PutInt(rec.group.sku);
-    w->PutInt(rec.current_max_containers);
-    w->PutInt(rec.recommended_max_containers);
-  }
-  w->PutDouble(plan.predicted_capacity_gain);
-  w->PutDouble(plan.predicted_latency_before_s);
-  w->PutDouble(plan.predicted_latency_after_s);
-  w->PutU64(plan.lp_solution.size());
-  for (const auto& [group, value] : plan.lp_solution) {
-    w->PutInt(group.sc);
-    w->PutInt(group.sku);
-    w->PutDouble(value);
-  }
-}
-
-Status DecodePlan(StateReader* r, YarnConfigTuner::Plan* plan) {
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r->GetU64(&count));
-  plan->recommendations.assign(count, core::GroupRecommendation{});
-  for (core::GroupRecommendation& rec : plan->recommendations) {
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.group.sc));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.group.sku));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.current_max_containers));
-    KEA_RETURN_IF_ERROR(r->GetInt(&rec.recommended_max_containers));
-  }
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_capacity_gain));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_latency_before_s));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&plan->predicted_latency_after_s));
-  KEA_RETURN_IF_ERROR(r->GetU64(&count));
-  plan->lp_solution.clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    sim::MachineGroupKey group;
-    double value = 0.0;
-    KEA_RETURN_IF_ERROR(r->GetInt(&group.sc));
-    KEA_RETURN_IF_ERROR(r->GetInt(&group.sku));
-    KEA_RETURN_IF_ERROR(r->GetDouble(&value));
-    plan->lp_solution[group] = value;
-  }
-  return Status::OK();
-}
-
-std::string EncodeRoundStart(sim::HourIndex start_hour, sim::HourIndex fit_begin,
-                             sim::HourIndex fit_end,
-                             const YarnConfigTuner::Plan& plan) {
-  StateWriter w;
-  w.PutI64(start_hour);
-  w.PutI64(fit_begin);
-  w.PutI64(fit_end);
-  EncodePlan(plan, &w);
-  return w.Release();
-}
-
-Status DecodeRoundStart(const std::string& blob, sim::HourIndex* start_hour,
-                        sim::HourIndex* fit_begin, sim::HourIndex* fit_end,
-                        YarnConfigTuner::Plan* plan) {
-  StateReader r(blob);
-  int64_t start = 0, begin = 0, end = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&start));
-  KEA_RETURN_IF_ERROR(r.GetI64(&begin));
-  KEA_RETURN_IF_ERROR(r.GetI64(&end));
-  *start_hour = static_cast<sim::HourIndex>(start);
-  *fit_begin = static_cast<sim::HourIndex>(begin);
-  *fit_end = static_cast<sim::HourIndex>(end);
-  return DecodePlan(&r, plan);
 }
 
 /// The plan-sanity screen of guarded rounds: a corrupted model never reaches
@@ -428,7 +106,7 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Create(const Config& config) {
   session->engine_ = std::make_unique<sim::FluidEngine>(
       &session->perf_model_, &session->cluster_, &session->workload_,
       engine_options);
-  session->config_ = config;
+  session->setup_.config = config;
   return session;
 }
 
@@ -504,8 +182,8 @@ Status KeaSession::EnableIngestionPipeline(const IngestionConfig& config) {
         std::make_unique<sim::TelemetryFaultInjector>(config.faults, config.seed);
     ingestion_->set_write_hook(fault_injector_->MakeWriteHook());
   }
-  ingestion_config_ = config;
-  ingestion_enabled_ = true;
+  setup_.ingestion = config;
+  setup_.ingestion_enabled = true;
   return Status::OK();
 }
 
@@ -513,16 +191,16 @@ Status KeaSession::EnableFleetChaos(const FleetChaosConfig& config) {
   fleet_faults_ = std::make_unique<sim::FleetFaultInjector>(
       &cluster_, config.profile, config.seed);
   engine_->AttachFleetFaults(fleet_faults_.get());
-  fleet_chaos_config_ = config;
-  fleet_chaos_enabled_ = true;
+  setup_.chaos = config;
+  setup_.chaos_enabled = true;
   return Status::OK();
 }
 
 Status KeaSession::EnableSelfHealing(const SelfHealingConfig& config) {
   drift_ = std::make_unique<telemetry::DriftDetector>(config.drift);
   model_health_ = std::make_unique<core::ModelHealth>(config.health);
-  self_healing_config_ = config;
-  self_healing_enabled_ = true;
+  setup_.healing = config;
+  setup_.healing_enabled = true;
   return Status::OK();
 }
 
@@ -622,64 +300,9 @@ Status KeaSession::TryRestoreDurability() {
 }
 
 Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
-  SnapshotWriter snapshot;
-
-  StateWriter meta;
-  meta.PutU64(covered_seq);
-  meta.PutI64(now_);
-  meta.PutBool(has_round_);
-  meta.PutI64(last_fit_begin_);
-  meta.PutI64(last_fit_end_);
-  meta.PutI64(last_deploy_hour_);
-  meta.PutI64(round_count_);
-  meta.PutInt(static_cast<int>(last_whatif_options_.regressor));
-  meta.PutU64(last_whatif_options_.min_observations);
-  meta.PutInt(last_whatif_options_.num_threads);
-  meta.PutU64(model_epoch_);
-  meta.PutU64(deploy_epoch_);
-  meta.PutI64(fabric_count_);
-  meta.PutI64(keep_generations_);
-  snapshot.AddSection("meta", meta.Release());
-
-  StateWriter config;
-  EncodeConfig(config_, ingestion_config_, ingestion_enabled_,
-               fleet_chaos_config_, fleet_chaos_enabled_, self_healing_config_,
-               self_healing_enabled_, &config);
-  snapshot.AddSection("config", config.Release());
-
-  snapshot.AddSection("telemetry", store_.ToCsv());
-
-  StateWriter cluster;
-  cluster.PutU64(cluster_.machines().size());
-  for (const sim::Machine& m : cluster_.machines()) {
-    cluster.PutInt(m.sc);
-    cluster.PutInt(m.max_containers);
-    cluster.PutInt(m.max_queued_containers);
-    cluster.PutDouble(m.power_cap_fraction);
-    cluster.PutBool(m.feature_enabled);
-  }
-  snapshot.AddSection("cluster", cluster.Release());
-
-  snapshot.AddSection("engine", engine_->SerializeState());
-  snapshot.AddSection("deployment", deployment_.SerializeState());
-  if (ingestion_ != nullptr) {
-    snapshot.AddSection("ingestion", ingestion_->SerializeState());
-  }
-  if (fault_injector_ != nullptr) {
-    snapshot.AddSection("fault_injector", fault_injector_->SerializeState());
-  }
-  if (fleet_faults_ != nullptr) {
-    snapshot.AddSection("fleet_faults", fleet_faults_->SerializeState());
-  }
-  if (drift_ != nullptr) {
-    snapshot.AddSection("drift", drift_->SerializeState());
-  }
-  if (model_health_ != nullptr) {
-    snapshot.AddSection("model_health", model_health_->SerializeState());
-  }
-
   KEA_RETURN_IF_ERROR(SnapshotGenerations::Write(
-      snapshot, durability_dir_ + kCheckpointFile, keep_generations_));
+      BuildCheckpoint(covered_seq), durability_dir_ + kCheckpointFile,
+      keep_generations_));
   if (covered_seq > durable_seq_) durable_seq_ = covered_seq;
   return Status::OK();
 }
@@ -695,11 +318,7 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   const uint64_t ledger_next = ledger->next_seq();
   SnapshotGenerations::Validator admissible =
       [ledger_next](const SnapshotReader& candidate) -> Status {
-    StatusOr<std::string> meta_blob = candidate.Section("meta");
-    if (!meta_blob.ok()) return meta_blob.status();
-    StateReader meta(meta_blob.value());
-    uint64_t covered = 0;
-    KEA_RETURN_IF_ERROR(meta.GetU64(&covered));
+    KEA_ASSIGN_OR_RETURN(uint64_t covered, CheckpointCoverage(candidate));
     if (covered > ledger_next) {
       return Status::FailedPrecondition(
           "checkpoint covers " + std::to_string(covered) +
@@ -711,156 +330,8 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   KEA_ASSIGN_OR_RETURN(SnapshotGenerations::Restored restored,
                        SnapshotGenerations::RestoreLatestValid(
                            dir + kCheckpointFile, admissible));
-  SnapshotReader& snapshot = restored.reader;
-
-  std::string config_blob;
-  KEA_ASSIGN_OR_RETURN(config_blob, snapshot.Section("config"));
-  Config config;
-  IngestionConfig ingestion_config;
-  bool ingestion_enabled = false;
-  FleetChaosConfig chaos_config;
-  bool chaos_enabled = false;
-  SelfHealingConfig healing_config;
-  bool healing_enabled = false;
-  KEA_RETURN_IF_ERROR(DecodeConfig(config_blob, &config, &ingestion_config,
-                                   &ingestion_enabled, &chaos_config,
-                                   &chaos_enabled, &healing_config,
-                                   &healing_enabled));
-
-  KEA_ASSIGN_OR_RETURN(std::unique_ptr<KeaSession> session, Create(config));
-  if (ingestion_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableIngestionPipeline(ingestion_config));
-  }
-  if (chaos_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableFleetChaos(chaos_config));
-  }
-  if (healing_enabled) {
-    KEA_RETURN_IF_ERROR(session->EnableSelfHealing(healing_config));
-  }
-
-  std::string meta_blob;
-  KEA_ASSIGN_OR_RETURN(meta_blob, snapshot.Section("meta"));
-  StateReader meta(meta_blob);
-  int64_t now = 0, fit_begin = 0, fit_end = 0, deploy_hour = 0;
-  int regressor = 0, num_threads = 0;
-  uint64_t min_observations = 0;
-  KEA_RETURN_IF_ERROR(meta.GetU64(&session->durable_seq_));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&now));
-  KEA_RETURN_IF_ERROR(meta.GetBool(&session->has_round_));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&fit_begin));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&fit_end));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&deploy_hour));
-  KEA_RETURN_IF_ERROR(meta.GetI64(&session->round_count_));
-  KEA_RETURN_IF_ERROR(meta.GetInt(&regressor));
-  KEA_RETURN_IF_ERROR(meta.GetU64(&min_observations));
-  KEA_RETURN_IF_ERROR(meta.GetInt(&num_threads));
-  // Pre-serving checkpoints end here; their sessions start at epoch zero.
-  if (!meta.AtEnd()) {
-    KEA_RETURN_IF_ERROR(meta.GetU64(&session->model_epoch_));
-    KEA_RETURN_IF_ERROR(meta.GetU64(&session->deploy_epoch_));
-  }
-  // Pre-fabric checkpoints end here; their sessions have run zero fabrics.
-  if (!meta.AtEnd()) {
-    KEA_RETURN_IF_ERROR(meta.GetI64(&session->fabric_count_));
-  }
-  // Pre-generation checkpoints end here; their retention knob defaults.
-  if (!meta.AtEnd()) {
-    int64_t keep = 0;
-    KEA_RETURN_IF_ERROR(meta.GetI64(&keep));
-    session->keep_generations_ = static_cast<int>(keep);
-  }
-  if (!meta.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in checkpoint meta section");
-  }
-  session->now_ = static_cast<sim::HourIndex>(now);
-  session->last_fit_begin_ = static_cast<sim::HourIndex>(fit_begin);
-  session->last_fit_end_ = static_cast<sim::HourIndex>(fit_end);
-  session->last_deploy_hour_ = static_cast<sim::HourIndex>(deploy_hour);
-  session->last_whatif_options_.regressor =
-      static_cast<core::RegressorKind>(regressor);
-  session->last_whatif_options_.min_observations =
-      static_cast<size_t>(min_observations);
-  session->last_whatif_options_.num_threads = num_threads;
-
-  std::string store_csv;
-  KEA_ASSIGN_OR_RETURN(store_csv, snapshot.Section("telemetry"));
-  KEA_ASSIGN_OR_RETURN(session->store_,
-                       telemetry::TelemetryStore::FromCsv(store_csv));
-
-  std::string cluster_blob;
-  KEA_ASSIGN_OR_RETURN(cluster_blob, snapshot.Section("cluster"));
-  StateReader cluster(cluster_blob);
-  uint64_t machine_count = 0;
-  KEA_RETURN_IF_ERROR(cluster.GetU64(&machine_count));
-  if (machine_count != session->cluster_.machines().size()) {
-    return Status::InvalidArgument(
-        "checkpoint cluster size does not match the rebuilt fleet");
-  }
-  std::vector<int> scs(machine_count, 0);
-  std::map<int, std::vector<int>> ids_by_sc;
-  std::vector<sim::Machine>& machines = session->cluster_.mutable_machines();
-  for (uint64_t i = 0; i < machine_count; ++i) {
-    sim::Machine& m = machines[i];
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&scs[i]));
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&m.max_containers));
-    KEA_RETURN_IF_ERROR(cluster.GetInt(&m.max_queued_containers));
-    KEA_RETURN_IF_ERROR(cluster.GetDouble(&m.power_cap_fraction));
-    KEA_RETURN_IF_ERROR(cluster.GetBool(&m.feature_enabled));
-    if (scs[i] != m.sc) ids_by_sc[scs[i]].push_back(m.id);
-  }
-  if (!cluster.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in checkpoint cluster section");
-  }
-  // SetSoftwareConfig rebuilds the group index; only drifted machines need it.
-  for (const auto& [sc, ids] : ids_by_sc) {
-    KEA_RETURN_IF_ERROR(session->cluster_.SetSoftwareConfig(ids, sc));
-  }
-
-  std::string blob;
-  KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("engine"));
-  KEA_RETURN_IF_ERROR(session->engine_->RestoreState(blob));
-  KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("deployment"));
-  KEA_RETURN_IF_ERROR(session->deployment_.RestoreState(blob));
-  if (snapshot.Has("ingestion")) {
-    if (session->ingestion_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has ingestion state but no ingestion config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("ingestion"));
-    KEA_RETURN_IF_ERROR(session->ingestion_->RestoreState(blob));
-  }
-  if (snapshot.Has("fault_injector")) {
-    if (session->fault_injector_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has fault-injector state but no fault profile");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("fault_injector"));
-    KEA_RETURN_IF_ERROR(session->fault_injector_->RestoreState(blob));
-  }
-  if (snapshot.Has("fleet_faults")) {
-    if (session->fleet_faults_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has fleet-fault state but no fleet-chaos config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("fleet_faults"));
-    KEA_RETURN_IF_ERROR(session->fleet_faults_->RestoreState(blob));
-  }
-  if (snapshot.Has("drift")) {
-    if (session->drift_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has drift state but no self-healing config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("drift"));
-    KEA_RETURN_IF_ERROR(session->drift_->RestoreState(blob));
-  }
-  if (snapshot.Has("model_health")) {
-    if (session->model_health_ == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has model-health state but no self-healing config");
-    }
-    KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("model_health"));
-    KEA_RETURN_IF_ERROR(session->model_health_->RestoreState(blob));
-  }
+  KEA_ASSIGN_OR_RETURN(std::unique_ptr<KeaSession> session,
+                       FromCheckpoint(restored.reader));
 
   session->durability_dir_ = dir;
   session->ledger_ = std::move(ledger);
@@ -1130,14 +601,13 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
   RoundsCounter()->Increment();
   const size_t alarms_before = TotalDriftAlarms();
   GuardedRound round;
-  sim::HourIndex start_hour = 0;
   std::unique_ptr<core::WhatIfEngine> fresh_engine;
 
   // --- ROUND_STARTED: journal the fit window and the full plan before any
   // machine is touched. On resume the journaled plan is the authority — the
   // clock has advanced into the rollout, so a refit would see a different
   // window and could propose a different plan.
-  auto plan_round = [&]() -> StatusOr<std::string> {
+  auto plan_round = [&]() -> StatusOr<RoundStart> {
     if (options.lookback_hours <= 0) {
       return Status::InvalidArgument("lookback_hours must be positive");
     }
@@ -1156,15 +626,17 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
     // recommendation aborts before the first canary machine is touched.
     KEA_RETURN_IF_ERROR(CheckPlanSane(plan));
     fresh_engine = std::make_unique<core::WhatIfEngine>(std::move(engine));
-    return EncodeRoundStart(now_, begin, now_, plan);
+    return RoundStart{now_, begin, now_, std::move(plan)};
   };
   KEA_ASSIGN_OR_RETURN(
-      std::string started,
-      step.Run(core::DeploymentLedger::EventType::kRoundStarted,
-               round_key + "/started", "session.round_started", plan_round,
-               nullptr));
-  KEA_RETURN_IF_ERROR(DecodeRoundStart(started, &start_hour, &round.fit_begin,
-                                       &round.fit_end, &round.plan));
+      RoundStart started,
+      step.RunTyped<RoundStart>(core::DeploymentLedger::EventType::kRoundStarted,
+                                round_key + "/started", "session.round_started",
+                                plan_round));
+  const sim::HourIndex start_hour = started.start_hour;
+  round.fit_begin = started.fit_begin;
+  round.fit_end = started.fit_end;
+  round.plan = std::move(started.plan);
 
   // --- Waves: the rollout drives itself through the same journal,
   // checkpointing after every journaled step. Simulate() must not checkpoint
@@ -1190,7 +662,7 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
   // The bookkeeping is the step's effect, so the checkpoint covering the
   // step holds the round's completion. It is idempotent and also runs after
   // a replayed step, which has no effect.
-  auto finish = [&](const std::string&) {
+  auto finish = [&] {
     round_count_ = round_number + 1;
     has_round_ = true;
     last_fit_begin_ = round.fit_begin;
@@ -1200,18 +672,17 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
     return Status::OK();
   };
   KEA_RETURN_IF_ERROR(
-      step.Run(core::DeploymentLedger::EventType::kRoundFinished,
-               round_key + "/finished", "session.round_finished",
-               [&] {
-                 StateWriter outcome;
-                 outcome.PutInt(static_cast<int>(round.rollout.outcome));
-                 outcome.PutInt(round.rollout.tripped_wave);
-                 outcome.PutU64(round.rollout.machines_restored);
-                 return outcome.Release();
-               },
-               finish)
+      step.RunTyped<RoundFinished>(
+              core::DeploymentLedger::EventType::kRoundFinished,
+              round_key + "/finished", "session.round_finished",
+              [&] {
+                return RoundFinished{round.rollout.outcome,
+                                     round.rollout.tripped_wave,
+                                     round.rollout.machines_restored};
+              },
+              [&](const RoundFinished&) { return finish(); })
           .status());
-  KEA_RETURN_IF_ERROR(finish(""));
+  KEA_RETURN_IF_ERROR(finish());
 
   ++model_epoch_;
   // kNoChange rollouts never touch a machine; anything else changed the
@@ -1234,7 +705,7 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
     last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
   }
   FinishRoundHealth(alarms_before, &round);
-  if (step.journaled() && self_healing_enabled_) {
+  if (step.journaled() && setup_.healing_enabled) {
     // Persist the post-round breaker/residual state; without this a crash
     // here would resume with a pre-round ModelHealth.
     KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
@@ -1296,25 +767,16 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFabric(
   // is touched. On resume the journaled start hour is the authority — the
   // clock has advanced into the run.
   KEA_ASSIGN_OR_RETURN(
-      std::string started,
-      step.Run(core::DeploymentLedger::EventType::kFabricStarted,
-               fabric_key + "/started", "session.fabric_started",
-               [&] {
-                 StateWriter w;
-                 w.PutI64(now_);
-                 w.PutU64(requests.size());
-                 return w.Release();
-               },
-               nullptr));
-  StateReader r(started);
-  int64_t start_hour = 0;
-  uint64_t queue_size = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&start_hour));
-  KEA_RETURN_IF_ERROR(r.GetU64(&queue_size));
-  if (queue_size != requests.size()) {
+      FabricStarted started,
+      step.RunTyped<FabricStarted>(
+          core::DeploymentLedger::EventType::kFabricStarted,
+          fabric_key + "/started", "session.fabric_started", [&] {
+            return FabricStarted{now_, requests.size()};
+          }));
+  if (started.requests != requests.size()) {
     return Status::FailedPrecondition(
         "resumed fabric run " + std::to_string(fabric_number) + " had " +
-        std::to_string(queue_size) + " requests, got " +
+        std::to_string(started.requests) + " requests, got " +
         std::to_string(requests.size()) + " — resume must pass the same queue");
   }
 
@@ -1326,7 +788,7 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFabric(
   core::ExperimentFabric fabric(fabric_options);
   in_journaled_round_ = true;
   StatusOr<core::ExperimentFabric::Report> executed = fabric.Run(
-      requests, &cluster_, &store_, static_cast<sim::HourIndex>(start_hour),
+      requests, &cluster_, &store_, started.start_hour,
       [this](int hours) { return Simulate(hours); }, journal);
   in_journaled_round_ = false;
   if (!executed.ok()) return executed.status();
@@ -1335,26 +797,25 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunFabric(
   // --- FABRIC_FINISHED: seal the outcome so the next run gets new keys. As
   // with ROUND_FINISHED, the idempotent bookkeeping is the step's effect and
   // also runs after a replayed step.
-  auto finish = [&](const std::string&) {
+  auto finish = [&] {
     fabric_count_ = fabric_number + 1;
     return Status::OK();
   };
   KEA_RETURN_IF_ERROR(
-      step.Run(core::DeploymentLedger::EventType::kFabricFinished,
-               fabric_key + "/finished", "session.fabric_finished",
-               [&] {
-                 StateWriter outcome;
-                 outcome.PutU64(report.admitted);
-                 outcome.PutU64(report.rejected);
-                 outcome.PutU64(report.trips);
-                 outcome.PutU64(report.max_concurrent);
-                 outcome.PutU64(report.peak_flighted_machines);
-                 outcome.PutI64(report.end_hour);
-                 return outcome.Release();
-               },
-               finish)
+      step.RunTyped<FabricFinished>(
+              core::DeploymentLedger::EventType::kFabricFinished,
+              fabric_key + "/finished", "session.fabric_finished",
+              [&] {
+                return FabricFinished{report.admitted,
+                                      report.rejected,
+                                      report.trips,
+                                      report.max_concurrent,
+                                      report.peak_flighted_machines,
+                                      report.end_hour};
+              },
+              [&](const FabricFinished&) { return finish(); })
           .status());
-  KEA_RETURN_IF_ERROR(finish(""));
+  KEA_RETURN_IF_ERROR(finish());
   // Flights patched and restored machine config; anything cached against the
   // previous deploy epoch saw a fleet that no longer exists.
   if (report.admitted > 0) ++deploy_epoch_;

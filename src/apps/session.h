@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/capacity.h"
 #include "apps/yarn_tuner.h"
@@ -22,6 +23,11 @@
 #include "telemetry/drift_detector.h"
 #include "telemetry/ingestion.h"
 #include "telemetry/store.h"
+
+namespace kea {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace kea
 
 namespace kea::apps {
 
@@ -312,10 +318,47 @@ class KeaSession {
   KeaSession(sim::PerfModel perf_model, sim::WorkloadModel workload)
       : perf_model_(std::move(perf_model)), workload_(std::move(workload)) {}
 
+  /// Everything the session was created and enabled with: the checkpoint's
+  /// "config" section, so Resume() needs only the directory.
+  struct Setup {
+    Config config;
+    bool ingestion_enabled = false;
+    IngestionConfig ingestion;
+    bool chaos_enabled = false;
+    FleetChaosConfig chaos;
+    bool healing_enabled = false;
+    SelfHealingConfig healing;
+  };
+  template <class Io>
+  friend void Transfer(Io& io, Setup& setup);
+
+  /// One component's checkpoint section; the table of them lives in
+  /// session_checkpoint.cc.
+  struct CheckpointSection;
+  static const std::vector<CheckpointSection>& CheckpointSections();
+
+  /// The checkpoint's "meta" section: `covered_seq`, then the session's
+  /// clock, round bookkeeping and epochs.
+  template <class Io>
+  void TransferMeta(Io& io, uint64_t& covered_seq);
+
+  /// Every checkpoint section of the current state, covering `covered_seq`
+  /// ledger events.
+  SnapshotWriter BuildCheckpoint(uint64_t covered_seq);
+  /// A session rebuilt from a checkpoint's sections; durability not yet
+  /// attached.
+  static StatusOr<std::unique_ptr<KeaSession>> FromCheckpoint(
+      const SnapshotReader& snapshot);
+  /// Ledger events a checkpoint covers.
+  static StatusOr<uint64_t> CheckpointCoverage(const SnapshotReader& snapshot);
+
   /// Writes the checkpoint file; `covered_seq` is the number of ledger
   /// events whose effects the written state contains (recorded as
   /// ledger_durable_seq and used on resume to split replay from re-drive).
   Status WriteCheckpoint(uint64_t covered_seq);
+
+  static constexpr char kLedgerFile[] = "/ledger.kea";
+  static constexpr char kCheckpointFile[] = "/checkpoint.kea";
 
   /// The journal context of guarded round or fabric run `run`; the drivers
   /// pass it only when durability is on.
@@ -398,14 +441,7 @@ class KeaSession {
   /// windows — a durable session's checkpoints are then per-step, not
   /// per-Simulate.
   bool in_journaled_round_ = false;
-  /// Construction-time knobs remembered so checkpoints are self-contained.
-  Config config_;
-  IngestionConfig ingestion_config_;
-  bool ingestion_enabled_ = false;
-  FleetChaosConfig fleet_chaos_config_;
-  bool fleet_chaos_enabled_ = false;
-  SelfHealingConfig self_healing_config_;
-  bool self_healing_enabled_ = false;
+  Setup setup_;
   /// Options of the last validated-models fit (for resume refit).
   core::WhatIfEngine::Options last_whatif_options_;
 };

@@ -103,6 +103,15 @@ class YarnConfigTuner {
   Options options_;
 };
 
+/// Wire layout of a plan (inside the ROUND_STARTED ledger payload); see
+/// common/snapshot.h.
+template <class Io>
+void Transfer(Io& io, YarnConfigTuner::Plan& plan) {
+  io(plan.recommendations, plan.predicted_capacity_gain,
+     plan.predicted_latency_before_s, plan.predicted_latency_after_s,
+     plan.lp_solution);
+}
+
 }  // namespace kea::apps
 
 #endif  // KEA_APPS_YARN_TUNER_H_

@@ -77,6 +77,14 @@ class RetryPolicy {
   /// it back for retries to replay bit-identically.
   void RestoreStats(const Stats& stats) { stats_ = stats; }
 
+  /// Wire layout of the checkpointed part: the counters (options are
+  /// construction-time). See common/snapshot.h.
+  template <class Io>
+  friend void Transfer(Io& io, RetryPolicy& policy) {
+    Stats& s = policy.stats_;
+    io(s.calls, s.attempts, s.retries, s.exhausted, s.total_backoff_ms);
+  }
+
  private:
   Options options_;
   Stats stats_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "common/io.h"
@@ -289,6 +290,9 @@ Status StateReader::GetI64(int64_t* v) {
 Status StateReader::GetInt(int* v) {
   int64_t i = 0;
   KEA_RETURN_IF_ERROR(GetI64(&i));
+  if (i < std::numeric_limits<int>::min() || i > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("state integer out of int range");
+  }
   *v = static_cast<int>(i);
   return Status::OK();
 }
@@ -296,6 +300,7 @@ Status StateReader::GetInt(int* v) {
 Status StateReader::GetBool(bool* v) {
   uint32_t u = 0;
   KEA_RETURN_IF_ERROR(GetU32(&u));
+  if (u > 1) return Status::InvalidArgument("state bool is neither 0 nor 1");
   *v = u != 0;
   return Status::OK();
 }
@@ -315,6 +320,29 @@ Status StateReader::GetString(std::string* s) {
   }
   s->assign(data_.data() + pos_, len);
   pos_ += len;
+  return Status::OK();
+}
+
+bool StateReader::GetCount(uint64_t* count) {
+  if (!Check(GetU64(count))) return false;
+  return Check(*count <= data_.size() - pos_
+                   ? Status::OK()
+                   : Status::InvalidArgument(
+                         "state count " + std::to_string(*count) +
+                         " exceeds the remaining bytes"));
+}
+
+bool StateReader::Check(const Status& status) {
+  if (!status.ok() && status_.ok()) status_ = status;
+  return status.ok();
+}
+
+Status StateReader::Finish() const {
+  KEA_RETURN_IF_ERROR(status_);
+  if (!AtEnd()) {
+    return Status::InvalidArgument(std::to_string(data_.size() - pos_) +
+                                   " trailing bytes in state blob");
+  }
   return Status::OK();
 }
 

@@ -1,9 +1,18 @@
 #ifndef KEA_COMMON_SNAPSHOT_H_
 #define KEA_COMMON_SNAPSHOT_H_
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -95,11 +104,124 @@ class SnapshotGenerations {
                                                const Validator& validate = {});
 };
 
-/// Little-endian binary codec for component state blobs (RNG cursors, fault
-/// injector queues, ...). Doubles are stored as raw IEEE-754 bit patterns so
-/// restore is bit-exact; strings are length-prefixed.
+// ---- Component state codecs.
+//
+// Every blob that outlives the process (checkpoint sections, ledger payloads)
+// has ONE field list, written as a Transfer overload over the direction:
+//
+//   template <class Io> void Transfer(Io& io, Foo& foo) { io(foo.a, foo.b); }
+//
+// StateWriter and StateReader are both callable with any fields, and the C++
+// type of each field fixes its little-endian wire type:
+//   - bool: a u32, 0 or 1;
+//   - any other integer, or an enum: 8 bytes (two's complement);
+//   - double: its raw IEEE-754 bits, so restore is bit-exact;
+//   - std::string: a u32 length, then the bytes;
+//   - std::vector, std::map, std::unordered_map, std::unordered_set: a u64
+//     count, then the elements (key before value; hashed containers in
+//     ascending key order, so equal state always encodes to equal bytes).
+//     A vector is resized to the count and each element decodes over the
+//     one already there, so a layout that covers only part of an element
+//     keeps the rest;
+//   - std::array: its elements, no count;
+//   - std::optional<T>: a bool presence flag, then the value (T{} if absent);
+//   - anything else: its own Transfer overload, found by argument-dependent
+//     lookup (the writer passes it a const_cast object it only reads).
+// Three adapters cover what the C++ type does not decide: AsU32, AsBools and
+// Nested, below.
+//
+// The reader never fabricates state: it keeps the first error, bounds every
+// count by the bytes that remain before allocating, rejects integers that do
+// not fit their field, bools other than 0/1, enums past their declared last
+// value, out-of-order map keys and absent optionals that carry a value.
+// DecodeState decodes into a copy and commits only on success.
+
+/// Each enum that crosses the wire declares its last value next to its
+/// definition, found by argument-dependent lookup:
+///   constexpr Color StateEnumMax(Color) { return Color::kBlue; }
+/// The reader accepts only [0, StateEnumMax].
+template <class E>
+concept StateEnum = std::is_enum_v<E> && requires(E e) {
+  { StateEnumMax(e) } -> std::same_as<E>;
+};
+
+/// A type with its own blob codec (Rng, and components whose
+/// SerializeState/RestoreState are the public face of their Transfer).
+template <class T>
+concept SelfSerializing = requires(T& t, const std::string& blob) {
+  { t.SerializeState() } -> std::same_as<std::string>;
+  { t.RestoreState(blob) } -> std::same_as<Status>;
+};
+
+/// An integer or enum on the wire as a u32 instead of 8 bytes.
+template <class T>
+struct U32Field {
+  T& value;
+};
+template <class T>
+U32Field<T> AsU32(T& value) {
+  return {value};
+}
+
+/// A vector of integer flags on the wire as bools.
+template <class T>
+struct BoolsField {
+  std::vector<T>& value;
+};
+template <class T>
+BoolsField<T> AsBools(std::vector<T>& value) {
+  return {value};
+}
+
+/// `value`'s own encoding, on the wire as one length-prefixed string.
+template <class T>
+struct NestedField {
+  T& value;
+};
+template <class T>
+NestedField<T> Nested(T& value) {
+  return {value};
+}
+
+namespace state_codec {
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
+template <class T>
+inline constexpr bool kIsArray = false;
+template <class T, size_t N>
+inline constexpr bool kIsArray<std::array<T, N>> = true;
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+template <class T>
+inline constexpr bool kIsMap = false;
+template <class K, class V, class C, class A>
+inline constexpr bool kIsMap<std::map<K, V, C, A>> = true;
+template <class K, class V, class H, class E, class A>
+inline constexpr bool kIsMap<std::unordered_map<K, V, H, E, A>> = true;
+template <class T>
+inline constexpr bool kIsSet = false;
+template <class K, class H, class E, class A>
+inline constexpr bool kIsSet<std::unordered_set<K, H, E, A>> = true;
+template <class T>
+inline constexpr bool kIsHashed = false;
+template <class K, class V, class H, class E, class A>
+inline constexpr bool kIsHashed<std::unordered_map<K, V, H, E, A>> = true;
+template <class K, class H, class E, class A>
+inline constexpr bool kIsHashed<std::unordered_set<K, H, E, A>> = true;
+}  // namespace state_codec
+
 class StateWriter {
  public:
+  /// Appends each field in order, in the wire type its C++ type selects.
+  template <class... Fields>
+  void operator()(const Fields&... fields) {
+    (Put(fields), ...);
+  }
+
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
@@ -112,19 +234,44 @@ class StateWriter {
   std::string Release() { return std::move(buf_); }
 
  private:
+  template <class T>
+  void Put(const T& v);
+  template <class T>
+  void Put(const U32Field<T>& f) {
+    PutU32(static_cast<uint32_t>(f.value));
+  }
+  template <class T>
+  void Put(const BoolsField<T>& f) {
+    PutU64(f.value.size());
+    for (const T& flag : f.value) PutBool(flag != 0);
+  }
+  template <class T>
+  void Put(const NestedField<T>& f);
+
   std::string buf_;
 };
 
-/// Reads back what StateWriter wrote, in the same order. Any overrun returns
-/// InvalidArgument — a truncated blob never yields fabricated values.
 class StateReader {
  public:
   explicit StateReader(std::string data) : data_(std::move(data)) {}
 
+  /// Decodes each field in order. After the first error every later field is
+  /// left untouched and status() reports that first error.
+  template <class... Fields>
+  void operator()(Fields&&... fields) {
+    (Get(fields), ...);
+  }
+
+  const Status& status() const { return status_; }
+  /// status(), or InvalidArgument when bytes remain past the last field.
+  Status Finish() const;
+
   Status GetU32(uint32_t* v);
   Status GetU64(uint64_t* v);
   Status GetI64(int64_t* v);
+  /// InvalidArgument for a value outside int's range.
   Status GetInt(int* v);
+  /// InvalidArgument for anything but 0 or 1.
   Status GetBool(bool* v);
   Status GetDouble(double* v);
   Status GetString(std::string* s);
@@ -132,9 +279,224 @@ class StateReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
+  template <class T>
+  void Get(T& v);
+  template <class T>
+  void Get(U32Field<T>& f);
+  template <class T>
+  void Get(BoolsField<T>& f);
+  template <class T>
+  void Get(NestedField<T>& f);
+  /// Reads an element count, failing when it exceeds the bytes that remain
+  /// (every element takes at least one byte), so a forged count can never
+  /// size an allocation.
+  bool GetCount(uint64_t* count);
+  /// Records `status` unless an earlier error is already recorded; returns
+  /// whether `status` is OK.
+  bool Check(const Status& status);
+  /// An integer read as 8 bytes and range-checked into T.
+  template <class T>
+  void GetInteger(T& v);
+
   std::string data_;
   size_t pos_ = 0;
+  Status status_;
 };
+
+/// `value` encoded through its field list.
+template <class T>
+std::string EncodeState(const T& value) {
+  StateWriter writer;
+  writer(value);
+  return writer.Release();
+}
+
+/// Decodes `blob` into `*value` through its field list. The decode runs on a
+/// copy of `*value` that replaces it only when the whole blob decoded with no
+/// trailing bytes, so a rejected blob leaves `*value` untouched.
+template <class T>
+Status DecodeState(const std::string& blob, T* value) {
+  T decoded = *value;
+  StateReader reader(blob);
+  reader(decoded);
+  KEA_RETURN_IF_ERROR(reader.Finish());
+  *value = std::move(decoded);
+  return Status::OK();
+}
+
+template <class T>
+void StateWriter::Put(const T& v) {
+  using namespace state_codec;
+  if constexpr (std::is_same_v<T, bool>) {
+    PutBool(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    PutI64(static_cast<int64_t>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    PutU64(static_cast<uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    PutDouble(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    PutString(v);
+  } else if constexpr (kIsOptional<T>) {
+    PutBool(v.has_value());
+    Put(v.value_or(typename T::value_type{}));
+  } else if constexpr (kIsArray<T>) {
+    for (const auto& element : v) Put(element);
+  } else if constexpr (kIsHashed<T>) {
+    std::vector<const typename T::value_type*> sorted;
+    sorted.reserve(v.size());
+    for (const auto& element : v) sorted.push_back(&element);
+    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
+      if constexpr (kIsMap<T>) {
+        return a->first < b->first;
+      } else {
+        return *a < *b;
+      }
+    });
+    PutU64(sorted.size());
+    for (const auto* element : sorted) Put(*element);
+  } else if constexpr (kIsVector<T> || kIsMap<T>) {
+    PutU64(v.size());
+    for (const auto& element : v) Put(element);
+  } else if constexpr (requires { v.first; v.second; }) {
+    Put(v.first);
+    Put(v.second);
+  } else {
+    Transfer(*this, const_cast<T&>(v));
+  }
+}
+
+template <class T>
+void StateWriter::Put(const NestedField<T>& f) {
+  if constexpr (SelfSerializing<T>) {
+    PutString(f.value.SerializeState());
+  } else {
+    PutString(EncodeState(f.value));
+  }
+}
+
+template <class T>
+void StateReader::GetInteger(T& v) {
+  uint64_t bits = 0;
+  if (!Check(GetU64(&bits))) return;
+  bool fits;
+  if constexpr (std::is_signed_v<T>) {
+    const int64_t i = static_cast<int64_t>(bits);
+    fits = i >= std::numeric_limits<T>::min() && i <= std::numeric_limits<T>::max();
+  } else {
+    fits = bits <= std::numeric_limits<T>::max();
+  }
+  if (!fits) {
+    Check(Status::InvalidArgument("state integer out of range"));
+    return;
+  }
+  v = static_cast<T>(bits);
+}
+
+template <class T>
+void StateReader::Get(T& v) {
+  using namespace state_codec;
+  if (!status_.ok()) return;
+  if constexpr (std::is_same_v<T, bool>) {
+    Check(GetBool(&v));
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(StateEnum<T>, "declare StateEnumMax for this enum");
+    int64_t i = 0;
+    if (!Check(GetI64(&i))) return;
+    if (i < 0 || i > static_cast<int64_t>(StateEnumMax(T{}))) {
+      Check(Status::InvalidArgument("state enum value " + std::to_string(i) +
+                                    " out of range"));
+      return;
+    }
+    v = static_cast<T>(i);
+  } else if constexpr (std::is_integral_v<T>) {
+    GetInteger(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    Check(GetDouble(&v));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Check(GetString(&v));
+  } else if constexpr (kIsOptional<T>) {
+    bool present = false;
+    typename T::value_type value{};
+    Get(present);
+    Get(value);
+    if (!status_.ok()) return;
+    if (!present && !(value == typename T::value_type{})) {
+      Check(Status::InvalidArgument("absent optional carries a value"));
+      return;
+    }
+    v = present ? T(std::move(value)) : T();
+  } else if constexpr (kIsArray<T>) {
+    for (auto& element : v) Get(element);
+  } else if constexpr (kIsVector<T>) {
+    uint64_t count = 0;
+    if (!GetCount(&count)) return;
+    v.resize(count);
+    for (auto& element : v) Get(element);
+  } else if constexpr (kIsMap<T> || kIsSet<T>) {
+    uint64_t count = 0;
+    if (!GetCount(&count)) return;
+    v.clear();
+    std::optional<typename T::key_type> last;
+    for (uint64_t i = 0; i < count && status_.ok(); ++i) {
+      typename T::key_type key{};
+      Get(key);
+      if (last && !(*last < key)) {
+        Check(Status::InvalidArgument("state keys out of order"));
+        return;
+      }
+      if constexpr (kIsMap<T>) {
+        typename T::mapped_type mapped{};
+        Get(mapped);
+        v.emplace(key, std::move(mapped));
+      } else {
+        v.insert(key);
+      }
+      last = std::move(key);
+    }
+  } else {
+    Transfer(*this, v);
+  }
+}
+
+template <class T>
+void StateReader::Get(U32Field<T>& f) {
+  uint32_t u = 0;
+  if (!status_.ok() || !Check(GetU32(&u))) return;
+  if constexpr (std::is_enum_v<T>) {
+    static_assert(StateEnum<T>, "declare StateEnumMax for this enum");
+    if (u > static_cast<uint32_t>(StateEnumMax(T{}))) {
+      Check(Status::InvalidArgument("state enum value " + std::to_string(u) +
+                                    " out of range"));
+      return;
+    }
+  }
+  f.value = static_cast<T>(u);
+}
+
+template <class T>
+void StateReader::Get(BoolsField<T>& f) {
+  uint64_t count = 0;
+  if (!status_.ok() || !GetCount(&count)) return;
+  f.value.assign(count, T{});
+  for (T& flag : f.value) {
+    bool b = false;
+    Get(b);
+    flag = b ? 1 : 0;
+  }
+}
+
+template <class T>
+void StateReader::Get(NestedField<T>& f) {
+  std::string blob;
+  Get(blob);
+  if (!status_.ok()) return;
+  if constexpr (SelfSerializing<T>) {
+    Check(f.value.RestoreState(blob));
+  } else {
+    Check(DecodeState(blob, &f.value));
+  }
+}
 
 }  // namespace kea
 

@@ -6,41 +6,6 @@
 #include "common/snapshot.h"
 
 namespace kea::core {
-namespace {
-
-std::string EncodeChangeBatch(const std::vector<AppliedChange>& batch) {
-  StateWriter w;
-  w.PutU64(batch.size());
-  for (const AppliedChange& c : batch) {
-    w.PutInt(c.group.sc);
-    w.PutInt(c.group.sku);
-    w.PutInt(c.old_max_containers);
-    w.PutInt(c.new_max_containers);
-    w.PutBool(c.clamped);
-  }
-  return w.Release();
-}
-
-Status DecodeChangeBatch(const std::string& blob,
-                         std::vector<AppliedChange>* batch) {
-  StateReader r(blob);
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  batch->clear();
-  batch->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    AppliedChange c;
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.group.sc));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.group.sku));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.old_max_containers));
-    KEA_RETURN_IF_ERROR(r.GetInt(&c.new_max_containers));
-    KEA_RETURN_IF_ERROR(r.GetBool(&c.clamped));
-    batch->push_back(c);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster) {
@@ -71,7 +36,7 @@ StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
     const std::string key = "module/apply/" + std::to_string(apply_count_);
     KEA_RETURN_IF_ERROR(ledger_
                             ->Append(DeploymentLedger::EventType::kApply, key,
-                                     EncodeChangeBatch(applied))
+                                     EncodeState(applied))
                             .status());
   }
   ++apply_count_;
@@ -98,7 +63,7 @@ Status DeploymentModule::RollbackLast(sim::Cluster* cluster) {
     KEA_RETURN_IF_ERROR(
         ledger_
             ->Append(DeploymentLedger::EventType::kModuleRollback, key,
-                     EncodeChangeBatch(last_batch_))
+                     EncodeState(last_batch_))
             .status());
   }
   ++rollback_count_;
@@ -126,38 +91,18 @@ std::string DeploymentModule::HistoryCsv() const {
   return writer.ToString();
 }
 
+template <class Io>
+void Transfer(Io& io, DeploymentModule& m) {
+  io(Nested(m.history_), Nested(m.last_batch_), m.has_last_batch_,
+     m.apply_count_, m.rollback_count_);
+}
+
 std::string DeploymentModule::SerializeState() const {
-  StateWriter w;
-  w.PutString(EncodeChangeBatch(history_));
-  w.PutString(EncodeChangeBatch(last_batch_));
-  w.PutBool(has_last_batch_);
-  w.PutI64(apply_count_);
-  w.PutI64(rollback_count_);
-  return w.Release();
+  return EncodeState(*this);
 }
 
 Status DeploymentModule::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  std::string history_blob, batch_blob;
-  KEA_RETURN_IF_ERROR(r.GetString(&history_blob));
-  KEA_RETURN_IF_ERROR(r.GetString(&batch_blob));
-  std::vector<AppliedChange> history, last_batch;
-  KEA_RETURN_IF_ERROR(DecodeChangeBatch(history_blob, &history));
-  KEA_RETURN_IF_ERROR(DecodeChangeBatch(batch_blob, &last_batch));
-  bool has_last_batch = false;
-  int64_t apply_count = 0, rollback_count = 0;
-  KEA_RETURN_IF_ERROR(r.GetBool(&has_last_batch));
-  KEA_RETURN_IF_ERROR(r.GetI64(&apply_count));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rollback_count));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in deployment state blob");
-  }
-  history_ = std::move(history);
-  last_batch_ = std::move(last_batch);
-  has_last_batch_ = has_last_batch;
-  apply_count_ = apply_count;
-  rollback_count_ = rollback_count;
-  return Status::OK();
+  return DecodeState(blob, this);
 }
 
 }  // namespace kea::core

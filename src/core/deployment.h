@@ -17,6 +17,11 @@ struct GroupRecommendation {
   int recommended_max_containers = 0;
 };
 
+template <class Io>
+void Transfer(Io& io, GroupRecommendation& r) {
+  io(r.group, r.current_max_containers, r.recommended_max_containers);
+}
+
 /// One change the deployment module actually applied.
 struct AppliedChange {
   sim::MachineGroupKey group;
@@ -24,6 +29,13 @@ struct AppliedChange {
   int new_max_containers = 0;
   bool clamped = false;  ///< True when the recommendation exceeded max_step.
 };
+
+/// A change batch (the APPLY and MODULE_ROLLBACK payload) is a
+/// std::vector<AppliedChange> on the wire; see common/snapshot.h.
+template <class Io>
+void Transfer(Io& io, AppliedChange& c) {
+  io(c.group, c.old_max_containers, c.new_max_containers, c.clamped);
+}
 
 /// The Deployment Module: rolls recommendations out to the full cluster with
 /// the production guardrails of Section 5.2.2 — "we only modify the
@@ -85,6 +97,9 @@ class DeploymentModule {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, DeploymentModule& module);
+
   Options options_;
   DeploymentLedger* ledger_ = nullptr;
   std::vector<AppliedChange> history_;

@@ -2,6 +2,7 @@
 
 #include "common/csv.h"
 #include "common/snapshot.h"
+#include "core/experiment_fabric.h"
 
 namespace kea::core {
 
@@ -51,17 +52,8 @@ StatusOr<std::unique_ptr<DeploymentLedger>> DeploymentLedger::Open(
   auto ledger = std::unique_ptr<DeploymentLedger>(
       new DeploymentLedger(std::move(journal)));
   for (const std::string& record : ledger->journal_->records()) {
-    StateReader r(record);
-    int type = 0;
     Event event;
-    KEA_RETURN_IF_ERROR(r.GetInt(&type));
-    if (type < 0 || type > static_cast<int>(EventType::kFabricFinished)) {
-      return Status::InvalidArgument("ledger record with unknown event type " +
-                                     std::to_string(type));
-    }
-    event.type = static_cast<EventType>(type);
-    KEA_RETURN_IF_ERROR(r.GetString(&event.key));
-    KEA_RETURN_IF_ERROR(r.GetString(&event.payload));
+    KEA_RETURN_IF_ERROR(DecodeState(record, &event));
     event.seq = ledger->events_.size();
     if (!ledger->by_key_.emplace(event.key, event.seq).second) {
       return Status::InvalidArgument("ledger has duplicate key '" + event.key +
@@ -79,16 +71,12 @@ StatusOr<const DeploymentLedger::Event*> DeploymentLedger::Append(
     // Idempotent replay: the step was journaled by a previous incarnation.
     return &events_[it->second];
   }
-  StateWriter w;
-  w.PutInt(static_cast<int>(type));
-  w.PutString(key);
-  w.PutString(payload);
-  KEA_RETURN_IF_ERROR(journal_->Append(w.Release()));
   Event event;
   event.seq = events_.size();
   event.type = type;
   event.key = key;
   event.payload = payload;
+  KEA_RETURN_IF_ERROR(journal_->Append(EncodeState(event)));
   by_key_.emplace(key, events_.size());
   events_.push_back(std::move(event));
   return &events_.back();
@@ -109,56 +97,31 @@ std::string DeploymentLedger::AppliedChangesCsv() const {
   writer.SetHeader({"seq", "key", "kind", "sc", "sku", "machine_id",
                     "old_max_containers", "new_max_containers"});
   auto str = [](int64_t v) { return std::to_string(v); };
+  auto row = [&](const Event& event, const char* kind, int sc, int sku,
+                 int machine, int old_max, int new_max) {
+    (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
+                            kind, str(sc), str(sku), str(machine), str(old_max),
+                            str(new_max)});
+  };
   for (const Event& event : events_) {
     if (event.type == EventType::kWaveApplied) {
-      StateReader r(event.payload);
-      uint64_t count = 0;
-      if (!r.GetU64(&count).ok()) continue;
-      for (uint64_t i = 0; i < count; ++i) {
-        int machine = 0, old_max = 0, new_max = 0;
-        if (!r.GetInt(&machine).ok() || !r.GetInt(&old_max).ok() ||
-            !r.GetInt(&new_max).ok()) {
-          break;
-        }
-        (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
-                                "wave_machine", "-1", "-1", str(machine),
-                                str(old_max), str(new_max)});
+      std::vector<WaveDelta> deltas;
+      if (!DecodeState(event.payload, &deltas).ok()) continue;
+      for (const WaveDelta& d : deltas) {
+        row(event, "wave_machine", -1, -1, d.machine, d.old_max, d.new_max);
       }
     } else if (event.type == EventType::kFlightStarted) {
-      // Experiment-fabric patch application: payload is the encoded config
-      // patch followed by per-machine priors (see experiment_fabric.cc).
-      StateReader r(event.payload);
-      std::string patch_blob;
-      uint64_t count = 0;
-      if (!r.GetString(&patch_blob).ok() || !r.GetU64(&count).ok()) continue;
-      for (uint64_t i = 0; i < count; ++i) {
-        int machine = 0, old_max = 0, new_max = 0, sc = 0;
-        double power = 0.0;
-        bool feature = false;
-        if (!r.GetInt(&machine).ok() || !r.GetInt(&old_max).ok() ||
-            !r.GetInt(&new_max).ok() || !r.GetDouble(&power).ok() ||
-            !r.GetBool(&feature).ok() || !r.GetInt(&sc).ok()) {
-          break;
-        }
-        (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
-                                "flight_machine", str(sc), "-1", str(machine),
-                                str(old_max), str(new_max)});
+      FlightStarted started;
+      if (!DecodeState(event.payload, &started).ok()) continue;
+      for (const FlightPrior& p : started.priors) {
+        row(event, "flight_machine", p.sc, -1, p.id, p.old_max, p.new_max);
       }
     } else if (event.type == EventType::kApply) {
-      StateReader r(event.payload);
-      uint64_t count = 0;
-      if (!r.GetU64(&count).ok()) continue;
-      for (uint64_t i = 0; i < count; ++i) {
-        int sc = 0, sku = 0, old_max = 0, new_max = 0;
-        bool clamped = false;
-        if (!r.GetInt(&sc).ok() || !r.GetInt(&sku).ok() ||
-            !r.GetInt(&old_max).ok() || !r.GetInt(&new_max).ok() ||
-            !r.GetBool(&clamped).ok()) {
-          break;
-        }
-        (void)writer.AppendRow({str(static_cast<int64_t>(event.seq)), event.key,
-                                "group", str(sc), str(sku), "-1", str(old_max),
-                                str(new_max)});
+      std::vector<AppliedChange> batch;
+      if (!DecodeState(event.payload, &batch).ok()) continue;
+      for (const AppliedChange& c : batch) {
+        row(event, "group", c.group.sc, c.group.sku, -1, c.old_max_containers,
+            c.new_max_containers);
       }
     }
   }

@@ -49,12 +49,21 @@ class DeploymentLedger {
     kFlightConcluded = 15, ///< Flight done; payload carries the conclusion.
     kFabricFinished = 16,  ///< Fabric run closed; payload carries the report.
   };
+  friend constexpr EventType StateEnumMax(EventType) {
+    return EventType::kFabricFinished;
+  }
 
   struct Event {
     uint64_t seq = 0;     ///< Position in the ledger, dense from 0.
     EventType type = EventType::kRoundStarted;
     std::string key;      ///< Idempotency key, unique in the ledger.
     std::string payload;  ///< Bit-exact binary blob (StateWriter format).
+
+    /// One journal record: seq is the record's position, not on the wire.
+    template <class Io>
+    friend void Transfer(Io& io, Event& e) {
+      io(e.type, e.key, e.payload);
+    }
   };
 
   static const char* EventTypeToString(EventType type);

@@ -43,18 +43,6 @@ obs::Counter* ConcludedCounter() {
       obs::Registry::Get().GetCounter("fabric.flights_concluded");
   return c;
 }
-/// Pre-flight value of every config field a patch can touch, per machine.
-/// Journaled in FLIGHT_STARTED so rollback restores bit-exact state from the
-/// record even across a crash.
-struct Prior {
-  int id = 0;
-  int old_max = 0;
-  int new_max = 0;  ///< Post-patch value (for the applied-changes audit CSV).
-  double power = 1.0;
-  bool feature = false;
-  int sc = 0;
-};
-
 /// A flight's rack/machine reservation. Held until the *planned* horizon ends
 /// even after a trip — post-rollback carryover on those machines must not
 /// contaminate a newly admitted experiment.
@@ -70,7 +58,7 @@ struct FlightState {
   size_t index = 0;
   const FlightRequest* req = nullptr;
   ExperimentFabric::FlightConclusion conclusion;
-  std::vector<Prior> priors;
+  std::vector<FlightPrior> priors;
   uint64_t start_treatment_down = 0;
   uint64_t start_control_down = 0;
   sim::HourIndex planned_end = 0;
@@ -186,9 +174,10 @@ Assignment AssignPinned(const sim::Cluster& cluster, const FlightRequest& req,
   return a;
 }
 
-Status RestorePriors(const std::vector<Prior>& priors, sim::Cluster* cluster) {
+Status RestorePriors(const std::vector<FlightPrior>& priors,
+                     sim::Cluster* cluster) {
   auto& machines = cluster->mutable_machines();
-  for (const Prior& p : priors) {
+  for (const FlightPrior& p : priors) {
     if (p.id < 0 || static_cast<size_t>(p.id) >= machines.size()) {
       return Status::OutOfRange("machine id " + std::to_string(p.id));
     }
@@ -200,40 +189,6 @@ Status RestorePriors(const std::vector<Prior>& priors, sim::Cluster* cluster) {
       KEA_RETURN_IF_ERROR(cluster->SetSoftwareConfig({p.id}, p.sc));
     }
   }
-  return Status::OK();
-}
-
-void PutIntVec(StateWriter* w, const std::vector<int>& v) {
-  w->PutU64(v.size());
-  for (int x : v) w->PutInt(x);
-}
-
-Status GetIntVec(StateReader* r, std::vector<int>* v) {
-  uint64_t n = 0;
-  KEA_RETURN_IF_ERROR(r->GetU64(&n));
-  v->assign(n, 0);
-  for (uint64_t i = 0; i < n; ++i) KEA_RETURN_IF_ERROR(r->GetInt(&(*v)[i]));
-  return Status::OK();
-}
-
-void PutEffect(StateWriter* w, const TreatmentEffect& e) {
-  w->PutString(e.metric);
-  w->PutDouble(e.control_mean);
-  w->PutDouble(e.treatment_mean);
-  w->PutDouble(e.percent_change);
-  w->PutDouble(e.t_value);
-  w->PutDouble(e.p_value);
-  w->PutBool(e.significant);
-}
-
-Status GetEffect(StateReader* r, TreatmentEffect* e) {
-  KEA_RETURN_IF_ERROR(r->GetString(&e->metric));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->control_mean));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->treatment_mean));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->percent_change));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->t_value));
-  KEA_RETURN_IF_ERROR(r->GetDouble(&e->p_value));
-  KEA_RETURN_IF_ERROR(r->GetBool(&e->significant));
   return Status::OK();
 }
 
@@ -301,69 +256,6 @@ const char* InterferenceReasonToString(InterferenceReason reason) {
 
 ExperimentFabric::ExperimentFabric(const Options& options)
     : options_(options) {}
-
-std::string ExperimentFabric::EncodeConclusion(const FlightConclusion& c) {
-  StateWriter w;
-  w.PutInt(c.flight);
-  w.PutString(c.name);
-  w.PutBool(c.admitted);
-  w.PutInt(static_cast<int>(c.rejected));
-  w.PutU64(c.deferrals);
-  w.PutI64(c.start_hour);
-  w.PutI64(c.end_hour);
-  PutIntVec(&w, c.racks);
-  PutIntVec(&w, c.treatment_machines);
-  PutIntVec(&w, c.control_machines);
-  w.PutBool(c.tripped);
-  w.PutInt(c.tripped_window);
-  w.PutString(GuardrailedRollout::EncodeEvaluation(c.trip_eval));
-  w.PutBool(c.effect_ok);
-  PutEffect(&w, c.data_read);
-  PutEffect(&w, c.task_latency);
-  w.PutDouble(c.data_read_ci_low);
-  w.PutDouble(c.data_read_ci_high);
-  w.PutU64(c.treatment_down_hours);
-  w.PutU64(c.control_down_hours);
-  w.PutU64(c.machines_restored);
-  return w.Release();
-}
-
-Status ExperimentFabric::DecodeConclusion(const std::string& blob,
-                                          FlightConclusion* c) {
-  StateReader r(blob);
-  int rejected = 0;
-  int64_t start = 0, end = 0;
-  uint64_t restored = 0;
-  std::string eval_blob;
-  KEA_RETURN_IF_ERROR(r.GetInt(&c->flight));
-  KEA_RETURN_IF_ERROR(r.GetString(&c->name));
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->admitted));
-  KEA_RETURN_IF_ERROR(r.GetInt(&rejected));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c->deferrals));
-  KEA_RETURN_IF_ERROR(r.GetI64(&start));
-  KEA_RETURN_IF_ERROR(r.GetI64(&end));
-  KEA_RETURN_IF_ERROR(GetIntVec(&r, &c->racks));
-  KEA_RETURN_IF_ERROR(GetIntVec(&r, &c->treatment_machines));
-  KEA_RETURN_IF_ERROR(GetIntVec(&r, &c->control_machines));
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->tripped));
-  KEA_RETURN_IF_ERROR(r.GetInt(&c->tripped_window));
-  KEA_RETURN_IF_ERROR(r.GetString(&eval_blob));
-  KEA_RETURN_IF_ERROR(
-      GuardrailedRollout::DecodeEvaluation(eval_blob, &c->trip_eval));
-  KEA_RETURN_IF_ERROR(r.GetBool(&c->effect_ok));
-  KEA_RETURN_IF_ERROR(GetEffect(&r, &c->data_read));
-  KEA_RETURN_IF_ERROR(GetEffect(&r, &c->task_latency));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&c->data_read_ci_low));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&c->data_read_ci_high));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c->treatment_down_hours));
-  KEA_RETURN_IF_ERROR(r.GetU64(&c->control_down_hours));
-  KEA_RETURN_IF_ERROR(r.GetU64(&restored));
-  c->rejected = static_cast<InterferenceReason>(rejected);
-  c->start_hour = static_cast<sim::HourIndex>(start);
-  c->end_hour = static_cast<sim::HourIndex>(end);
-  c->machines_restored = static_cast<size_t>(restored);
-  return Status::OK();
-}
 
 StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
     const std::vector<FlightRequest>& requests, sim::Cluster* cluster,
@@ -471,104 +363,61 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
   auto start_flight = [&](FlightState& st, const Assignment* fresh_assignment)
       -> Status {
     const std::string fkey = prefix + "/f" + std::to_string(st.index);
-    std::string payload;
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kFlightAdmitted, fkey + "/admitted",
-        "fabric.admitted",
-        [&] {
-          StateWriter w;
-          w.PutI64(now);
-          w.PutI64(now + st.req->window_hours * st.req->num_windows);
-          w.PutU64(st.conclusion.deferrals);
-          PutIntVec(&w, fresh_assignment->racks);
-          PutIntVec(&w, fresh_assignment->treatment);
-          PutIntVec(&w, fresh_assignment->control);
-          return w.Release();
-        },
-        nullptr));
-    {
-      StateReader r(payload);
-      int64_t start = 0, end = 0;
-      KEA_RETURN_IF_ERROR(r.GetI64(&start));
-      KEA_RETURN_IF_ERROR(r.GetI64(&end));
-      KEA_RETURN_IF_ERROR(r.GetU64(&st.conclusion.deferrals));
-      KEA_RETURN_IF_ERROR(GetIntVec(&r, &st.conclusion.racks));
-      KEA_RETURN_IF_ERROR(GetIntVec(&r, &st.conclusion.treatment_machines));
-      KEA_RETURN_IF_ERROR(GetIntVec(&r, &st.conclusion.control_machines));
-      st.conclusion.start_hour = static_cast<sim::HourIndex>(start);
-      st.planned_end = static_cast<sim::HourIndex>(end);
-      st.conclusion.admitted = true;
-    }
+    KEA_ASSIGN_OR_RETURN(
+        FlightAdmitted admitted,
+        step.RunTyped<FlightAdmitted>(
+            DeploymentLedger::EventType::kFlightAdmitted, fkey + "/admitted",
+            "fabric.admitted", [&] {
+              return FlightAdmitted{
+                  now, now + st.req->window_hours * st.req->num_windows,
+                  st.conclusion.deferrals, fresh_assignment->racks,
+                  fresh_assignment->treatment, fresh_assignment->control};
+            }));
+    st.conclusion.start_hour = admitted.start_hour;
+    st.planned_end = admitted.planned_end;
+    st.conclusion.deferrals = admitted.deferrals;
+    st.conclusion.racks = std::move(admitted.racks);
+    st.conclusion.treatment_machines = std::move(admitted.treatment);
+    st.conclusion.control_machines = std::move(admitted.control);
+    st.conclusion.admitted = true;
 
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kFlightStarted, fkey + "/started",
-        "fabric.started",
-        [&] {
-          StateWriter w;
-          w.PutString(EncodeConfigPatch(st.req->treatment));
-          const auto& machines = cluster->machines();
-          w.PutU64(st.conclusion.treatment_machines.size());
-          for (int id : st.conclusion.treatment_machines) {
-            const sim::Machine& m = machines[static_cast<size_t>(id)];
-            w.PutInt(id);
-            w.PutInt(m.max_containers);
-            w.PutInt(st.req->treatment.max_containers
+    // The recorded priors are the rollback authority.
+    KEA_ASSIGN_OR_RETURN(
+        FlightStarted started,
+        step.RunTyped<FlightStarted>(
+            DeploymentLedger::EventType::kFlightStarted, fkey + "/started",
+            "fabric.started",
+            [&] {
+              FlightStarted fresh;
+              fresh.patch = st.req->treatment;
+              const auto& machines = cluster->machines();
+              for (int id : st.conclusion.treatment_machines) {
+                const sim::Machine& m = machines[static_cast<size_t>(id)];
+                fresh.priors.push_back(
+                    {id, m.max_containers,
+                     st.req->treatment.max_containers
                          ? *st.req->treatment.max_containers
-                         : m.max_containers);
-            w.PutDouble(m.power_cap_fraction);
-            w.PutBool(m.feature_enabled);
-            w.PutInt(m.sc);
-          }
-          w.PutU64(options_.down_hours
-                       ? options_.down_hours(st.conclusion.treatment_machines)
-                       : 0);
-          w.PutU64(options_.down_hours
-                       ? options_.down_hours(st.conclusion.control_machines)
-                       : 0);
-          return w.Release();
-        },
-        [&](const std::string& p) -> Status {
-          StateReader r(p);
-          std::string patch_blob;
-          KEA_RETURN_IF_ERROR(r.GetString(&patch_blob));
-          ConfigPatch patch;
-          KEA_RETURN_IF_ERROR(DecodeConfigPatch(patch_blob, &patch));
-          uint64_t count = 0;
-          KEA_RETURN_IF_ERROR(r.GetU64(&count));
-          std::vector<int> ids;
-          ids.reserve(count);
-          for (uint64_t i = 0; i < count; ++i) {
-            Prior prior;
-            KEA_RETURN_IF_ERROR(r.GetInt(&prior.id));
-            KEA_RETURN_IF_ERROR(r.GetInt(&prior.old_max));
-            KEA_RETURN_IF_ERROR(r.GetInt(&prior.new_max));
-            KEA_RETURN_IF_ERROR(r.GetDouble(&prior.power));
-            KEA_RETURN_IF_ERROR(r.GetBool(&prior.feature));
-            KEA_RETURN_IF_ERROR(r.GetInt(&prior.sc));
-            ids.push_back(prior.id);
-          }
-          return ApplyPatch(patch, ids, cluster);
-        }));
-    {
-      // The recorded priors are the rollback authority.
-      StateReader r(payload);
-      std::string patch_blob;
-      KEA_RETURN_IF_ERROR(r.GetString(&patch_blob));
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(r.GetU64(&count));
-      st.priors.assign(count, Prior{});
-      for (uint64_t i = 0; i < count; ++i) {
-        Prior& prior = st.priors[i];
-        KEA_RETURN_IF_ERROR(r.GetInt(&prior.id));
-        KEA_RETURN_IF_ERROR(r.GetInt(&prior.old_max));
-        KEA_RETURN_IF_ERROR(r.GetInt(&prior.new_max));
-        KEA_RETURN_IF_ERROR(r.GetDouble(&prior.power));
-        KEA_RETURN_IF_ERROR(r.GetBool(&prior.feature));
-        KEA_RETURN_IF_ERROR(r.GetInt(&prior.sc));
-      }
-      KEA_RETURN_IF_ERROR(r.GetU64(&st.start_treatment_down));
-      KEA_RETURN_IF_ERROR(r.GetU64(&st.start_control_down));
-    }
+                         : m.max_containers,
+                     m.power_cap_fraction, m.feature_enabled, m.sc});
+              }
+              if (options_.down_hours) {
+                fresh.treatment_down_hours =
+                    options_.down_hours(st.conclusion.treatment_machines);
+                fresh.control_down_hours =
+                    options_.down_hours(st.conclusion.control_machines);
+              }
+              return fresh;
+            },
+            [&](const FlightStarted& recorded) {
+              std::vector<int> ids;
+              for (const FlightPrior& prior : recorded.priors) {
+                ids.push_back(prior.id);
+              }
+              return ApplyPatch(recorded.patch, ids, cluster);
+            }));
+    st.priors = std::move(started.priors);
+    st.start_treatment_down = started.treatment_down_hours;
+    st.start_control_down = started.control_down_hours;
 
     // Register the partition in the shadow FlightingService: its overlap
     // rejection independently enforces "no machine in two arms at once".
@@ -611,23 +460,25 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
   auto conclude_flight = [&](FlightState& st) -> Status {
     const std::string fkey = prefix + "/f" + std::to_string(st.index);
     st.conclusion.machines_restored = st.priors.size();
-    std::string payload;
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kFlightConcluded, fkey + "/concluded",
-        "fabric.concluded",
-        [&] {
-          if (options_.down_hours) {
-            st.conclusion.treatment_down_hours =
-                options_.down_hours(st.conclusion.treatment_machines) -
-                st.start_treatment_down;
-            st.conclusion.control_down_hours =
-                options_.down_hours(st.conclusion.control_machines) -
-                st.start_control_down;
-          }
-          return EncodeConclusion(st.conclusion);
-        },
-        [&](const std::string&) { return RestorePriors(st.priors, cluster); }));
-    KEA_RETURN_IF_ERROR(DecodeConclusion(payload, &st.conclusion));
+    KEA_ASSIGN_OR_RETURN(
+        st.conclusion,
+        step.RunTyped<FlightConclusion>(
+            DeploymentLedger::EventType::kFlightConcluded, fkey + "/concluded",
+            "fabric.concluded",
+            [&] {
+              if (options_.down_hours) {
+                st.conclusion.treatment_down_hours =
+                    options_.down_hours(st.conclusion.treatment_machines) -
+                    st.start_treatment_down;
+                st.conclusion.control_down_hours =
+                    options_.down_hours(st.conclusion.control_machines) -
+                    st.start_control_down;
+              }
+              return st.conclusion;
+            },
+            [&](const FlightConclusion&) {
+              return RestorePriors(st.priors, cluster);
+            }));
     st.running = false;
     st.finished = true;
     reservations[st.index].running = false;
@@ -649,10 +500,9 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
         // Journaled admission: the record is the authority. It may belong to
         // a later boundary of the re-driven schedule — only replay it when
         // the clock matches its recorded start.
-        StateReader r(admitted_ev->payload);
-        int64_t recorded_start = 0;
-        KEA_RETURN_IF_ERROR(r.GetI64(&recorded_start));
-        if (recorded_start != static_cast<int64_t>(now)) continue;
+        FlightAdmitted recorded;
+        KEA_RETURN_IF_ERROR(DecodeState(admitted_ev->payload, &recorded));
+        if (recorded.start_hour != now) continue;
         KEA_RETURN_IF_ERROR(start_flight(st, nullptr));
         continue;
       }
@@ -747,31 +597,15 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       return Status::Internal("experiment fabric made no progress at hour " +
                               std::to_string(now));
     }
-    std::string payload;
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kFabricAdvanced,
-        prefix + "/adv" + std::to_string(adv_count), "fabric.advanced",
-        [&] {
-          StateWriter w;
-          w.PutI64(now);
-          w.PutI64(next);
-          return w.Release();
-        },
-        [&](const std::string& p) -> Status {
-          StateReader r(p);
-          int64_t from = 0, to = 0;
-          KEA_RETURN_IF_ERROR(r.GetI64(&from));
-          KEA_RETURN_IF_ERROR(r.GetI64(&to));
-          return advance(static_cast<int>(to - from));
-        }));
+    KEA_ASSIGN_OR_RETURN(
+        HourSpan advanced,
+        step.RunTyped<HourSpan>(
+            DeploymentLedger::EventType::kFabricAdvanced,
+            prefix + "/adv" + std::to_string(adv_count), "fabric.advanced",
+            [&] { return HourSpan{now, next}; },
+            [&](const HourSpan& span) { return advance(span.end - span.begin); }));
     ++adv_count;
-    {
-      StateReader r(payload);
-      int64_t from = 0, to = 0;
-      KEA_RETURN_IF_ERROR(r.GetI64(&from));
-      KEA_RETURN_IF_ERROR(r.GetI64(&to));
-      now = static_cast<sim::HourIndex>(to);
-    }
+    now = advanced.end;
 
     // --- Guardrail verdicts for every flight whose boundary this is. The
     // window evaluations (and completion-time effect estimates) are computed
@@ -809,14 +643,12 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
       FlightState& st = states[due[i]];
       const std::string fkey = prefix + "/f" + std::to_string(st.index);
       const int window = st.windows_done;
-      KEA_ASSIGN_OR_RETURN(payload, step.Run(
-          DeploymentLedger::EventType::kFlightVerdict,
-          fkey + "/win" + std::to_string(window), "fabric.verdict",
-          [&] { return GuardrailedRollout::EncodeEvaluation(evals[i]); },
-          nullptr));
-      GuardrailEvaluation eval;
-      KEA_RETURN_IF_ERROR(
-          GuardrailedRollout::DecodeEvaluation(payload, &eval));
+      KEA_ASSIGN_OR_RETURN(
+          GuardrailEvaluation eval,
+          step.RunTyped<GuardrailEvaluation>(
+              DeploymentLedger::EventType::kFlightVerdict,
+              fkey + "/win" + std::to_string(window), "fabric.verdict",
+              [&] { return evals[i]; }));
       ++st.windows_done;
 
       if (!eval.pass()) {
@@ -828,17 +660,15 @@ StatusOr<ExperimentFabric::Report> ExperimentFabric::Run(
         st.conclusion.tripped_window = window;
         st.conclusion.trip_eval = eval;
         st.conclusion.end_hour = now;
-        KEA_ASSIGN_OR_RETURN(payload, step.Run(
-            DeploymentLedger::EventType::kFlightRollback, fkey + "/rollback",
-            "fabric.rollback",
-            [&] {
-              StateWriter w;
-              w.PutU64(st.priors.size());
-              return w.Release();
-            },
-            [&](const std::string&) {
-              return RestorePriors(st.priors, cluster);
-            }));
+        KEA_RETURN_IF_ERROR(
+            step.RunTyped<uint64_t>(
+                    DeploymentLedger::EventType::kFlightRollback,
+                    fkey + "/rollback", "fabric.rollback",
+                    [&] { return static_cast<uint64_t>(st.priors.size()); },
+                    [&](const uint64_t&) {
+                      return RestorePriors(st.priors, cluster);
+                    })
+                .status());
         RollbacksCounter()->Increment();
         KEA_RETURN_IF_ERROR(conclude_flight(st));
       } else if (st.windows_done == st.req->num_windows) {

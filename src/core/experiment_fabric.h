@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "common/status.h"
 #include "core/flighting.h"
 #include "core/guardrailed_rollout.h"
@@ -28,8 +29,60 @@ enum class InterferenceReason {
   kBlastRadiusBudget,    ///< Would push flighted machines over the budget.
   kInsufficientMachines, ///< The fleet cannot field both arms at all.
 };
+constexpr InterferenceReason StateEnumMax(InterferenceReason) {
+  return InterferenceReason::kInsufficientMachines;
+}
 
 const char* InterferenceReasonToString(InterferenceReason reason);
+
+// ---- Fabric ledger payloads (wire layouts, see common/snapshot.h). The
+// FLIGHT_VERDICT payload is a GuardrailEvaluation, FABRIC_ADVANCED an
+// HourSpan, FLIGHT_ROLLBACK the uint64_t count of machines restored, and
+// FLIGHT_CONCLUDED an ExperimentFabric::FlightConclusion.
+
+/// FLIGHT_ADMITTED: the flight's window and its partition.
+struct FlightAdmitted {
+  sim::HourIndex start_hour = 0;
+  sim::HourIndex planned_end = 0;
+  uint64_t deferrals = 0;
+  std::vector<int> racks;
+  std::vector<int> treatment;
+  std::vector<int> control;
+};
+template <class Io>
+void Transfer(Io& io, FlightAdmitted& a) {
+  io(a.start_hour, a.planned_end, a.deferrals, a.racks, a.treatment,
+     a.control);
+}
+
+/// Pre-flight value of every config field a patch can touch, for one
+/// treatment machine. Journaled in FLIGHT_STARTED so rollback restores
+/// bit-exact state from the record even across a crash.
+struct FlightPrior {
+  int id = 0;
+  int old_max = 0;
+  int new_max = 0;  ///< Post-patch value (for the applied-changes audit CSV).
+  double power = 1.0;
+  bool feature = false;
+  int sc = 0;
+};
+template <class Io>
+void Transfer(Io& io, FlightPrior& p) {
+  io(p.id, p.old_max, p.new_max, p.power, p.feature, p.sc);
+}
+
+/// FLIGHT_STARTED: the patch, the treatment arm's priors, and both arms'
+/// cumulative down-hours at the start.
+struct FlightStarted {
+  ConfigPatch patch;
+  std::vector<FlightPrior> priors;
+  uint64_t treatment_down_hours = 0;
+  uint64_t control_down_hours = 0;
+};
+template <class Io>
+void Transfer(Io& io, FlightStarted& s) {
+  io(Nested(s.patch), s.priors, s.treatment_down_hours, s.control_down_hours);
+}
 
 /// One planned A/B flight submitted to the fabric — typically derived from an
 /// ExperimentPlanner plan. Both arms are machines_per_arm strong; guardrails
@@ -148,14 +201,18 @@ class ExperimentFabric {
                        sim::HourIndex start_hour, const AdvanceFn& advance,
                        JournalContext* ctx);
 
-  /// Bit-exact codec for FlightConclusion (FLIGHT_CONCLUDED payloads and
-  /// report signatures in tests).
-  static std::string EncodeConclusion(const FlightConclusion& c);
-  static Status DecodeConclusion(const std::string& blob, FlightConclusion* c);
-
  private:
   Options options_;
 };
+
+template <class Io>
+void Transfer(Io& io, ExperimentFabric::FlightConclusion& c) {
+  io(c.flight, c.name, c.admitted, c.rejected, c.deferrals, c.start_hour,
+     c.end_hour, c.racks, c.treatment_machines, c.control_machines, c.tripped,
+     c.tripped_window, Nested(c.trip_eval), c.effect_ok, c.data_read,
+     c.task_latency, c.data_read_ci_low, c.data_read_ci_high,
+     c.treatment_down_hours, c.control_down_hours, c.machines_restored);
+}
 
 }  // namespace kea::core
 

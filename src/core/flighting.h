@@ -25,6 +25,14 @@ struct ConfigPatch {
   }
 };
 
+/// Wire layout (nested in FLIGHT_STARTED ledger payloads); see
+/// common/snapshot.h.
+template <class Io>
+void Transfer(Io& io, ConfigPatch& patch) {
+  io(patch.max_containers, patch.power_cap_fraction, patch.feature_enabled,
+     patch.software_config);
+}
+
 /// A flight: a configuration patch applied to named machines for a time
 /// window. Mirrors the production flighting tool, where "users can specify
 /// the machine names and the starting/ending time of each flighting"
@@ -77,10 +85,6 @@ class FlightingService {
 /// deployment module).
 Status ApplyPatch(const ConfigPatch& patch, const std::vector<int>& machine_ids,
                   sim::Cluster* cluster);
-
-/// Bit-exact codec for ConfigPatch (FLIGHT_STARTED ledger payloads).
-std::string EncodeConfigPatch(const ConfigPatch& patch);
-Status DecodeConfigPatch(const std::string& blob, ConfigPatch* patch);
 
 }  // namespace kea::core
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <tuple>
 #include <unordered_set>
 
 #include "common/crash_point.h"
-#include "common/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -195,48 +193,6 @@ void GuardrailedRollout::Restore(const std::vector<MachineSnapshot>& snapshots,
   }
 }
 
-std::string GuardrailedRollout::EncodeEvaluation(const GuardrailEvaluation& eval) {
-  StateWriter w;
-  w.PutDouble(eval.baseline_latency_s);
-  w.PutDouble(eval.observed_latency_s);
-  w.PutDouble(eval.baseline_queue_p99_ms);
-  w.PutDouble(eval.observed_queue_p99_ms);
-  w.PutDouble(eval.baseline_utilization);
-  w.PutDouble(eval.observed_utilization);
-  w.PutBool(eval.latency_ok);
-  w.PutBool(eval.queue_ok);
-  w.PutBool(eval.utilization_ok);
-  w.PutBool(eval.measurable);
-  // SLO guardrail fields (appended; pre-SLO blobs simply end here).
-  w.PutBool(eval.slo_checked);
-  w.PutDouble(eval.observed_slo_burn);
-  w.PutBool(eval.slo_ok);
-  return w.Release();
-}
-
-Status GuardrailedRollout::DecodeEvaluation(const std::string& blob,
-                                            GuardrailEvaluation* eval) {
-  StateReader r(blob);
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_latency_s));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_latency_s));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_queue_p99_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_queue_p99_ms));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->baseline_utilization));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_utilization));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->latency_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->queue_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->utilization_ok));
-  KEA_RETURN_IF_ERROR(r.GetBool(&eval->measurable));
-  if (!r.AtEnd()) {
-    // Blobs journaled before the SLO guardrail existed stop above; their
-    // defaults (slo_checked=false, slo_ok=true) reproduce the old verdict.
-    KEA_RETURN_IF_ERROR(r.GetBool(&eval->slo_checked));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&eval->observed_slo_burn));
-    KEA_RETURN_IF_ERROR(r.GetBool(&eval->slo_ok));
-  }
-  return Status::OK();
-}
-
 StatusOr<GuardrailedRollout::Report> GuardrailedRollout::Execute(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster,
     const telemetry::TelemetryStore* store, sim::HourIndex start_hour,
@@ -300,39 +256,28 @@ Status GuardrailedRollout::RunWaves(
     wave.wave = static_cast<int>(w);
 
     // -- WAVE_STARTED: which sub-clusters this wave covers.
-    std::string payload;
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kWaveStarted, wkey + "/started",
-        "rollout.wave_started",
-        [&] {
-          int end_sc = static_cast<int>(std::ceil(
-              options_.wave_fractions[w] * static_cast<double>(num_sc)));
-          end_sc = std::clamp(end_sc, next_sc, num_sc);
-          if (w + 1 == options_.wave_fractions.size() &&
-              options_.wave_fractions[w] >= 1.0) {
-            end_sc = num_sc;
-          }
-          if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
-          StateWriter sw;
-          sw.PutInt(end_sc);
-          sw.PutU64(static_cast<uint64_t>(end_sc - next_sc));
-          for (int sc = next_sc; sc < end_sc; ++sc) sw.PutInt(sc);
-          return sw.Release();
-        },
-        nullptr));
-    {
-      StateReader sr(payload);
-      int end_sc = 0;
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(sr.GetInt(&end_sc));
-      KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        int sc = 0;
-        KEA_RETURN_IF_ERROR(sr.GetInt(&sc));
-        wave.sub_clusters.push_back(sc);
-      }
-      next_sc = end_sc;
-    }
+    KEA_ASSIGN_OR_RETURN(
+        WaveStarted started,
+        step.RunTyped<WaveStarted>(
+            DeploymentLedger::EventType::kWaveStarted, wkey + "/started",
+            "rollout.wave_started", [&] {
+              int end_sc = static_cast<int>(std::ceil(
+                  options_.wave_fractions[w] * static_cast<double>(num_sc)));
+              end_sc = std::clamp(end_sc, next_sc, num_sc);
+              if (w + 1 == options_.wave_fractions.size() &&
+                  options_.wave_fractions[w] >= 1.0) {
+                end_sc = num_sc;
+              }
+              if (end_sc == next_sc && next_sc < num_sc) end_sc = next_sc + 1;
+              WaveStarted fresh;
+              fresh.end_sc = end_sc;
+              for (int sc = next_sc; sc < end_sc; ++sc) {
+                fresh.sub_clusters.push_back(sc);
+              }
+              return fresh;
+            }));
+    wave.sub_clusters = std::move(started.sub_clusters);
+    next_sc = started.end_sc;
     std::vector<int> wave_machines;
     for (int sc : wave.sub_clusters) {
       std::vector<int> ids = cluster->SubClusterMachines(sc);
@@ -341,58 +286,38 @@ Status GuardrailedRollout::RunWaves(
 
     // -- WAVE_APPLIED: per-machine (id, old, new) deltas, journaled before
     // the cluster is touched.
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kWaveApplied, wkey + "/applied",
-        "rollout.wave_applied",
-        [&] {
-          StateWriter sw;
-          std::vector<std::tuple<int, int, int>> deltas;
-          const auto& machines = cluster->machines();
-          for (int id : wave_machines) {
-            if (id < 0 || static_cast<size_t>(id) >= machines.size()) continue;
-            const sim::Machine& m = machines[static_cast<size_t>(id)];
-            auto it = targets.find(m.group());
-            if (it == targets.end() || m.max_containers == it->second) continue;
-            deltas.emplace_back(id, m.max_containers, it->second);
-          }
-          sw.PutU64(deltas.size());
-          for (const auto& [id, old_max, new_max] : deltas) {
-            sw.PutInt(id);
-            sw.PutInt(old_max);
-            sw.PutInt(new_max);
-          }
-          return sw.Release();
-        },
-        [&](const std::string& p) -> Status {
-          StateReader sr(p);
-          uint64_t count = 0;
-          KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-          auto& machines = cluster->mutable_machines();
-          for (uint64_t i = 0; i < count; ++i) {
-            int id = 0, old_max = 0, new_max = 0;
-            KEA_RETURN_IF_ERROR(sr.GetInt(&id));
-            KEA_RETURN_IF_ERROR(sr.GetInt(&old_max));
-            KEA_RETURN_IF_ERROR(sr.GetInt(&new_max));
-            if (id < 0 || static_cast<size_t>(id) >= machines.size()) {
-              return Status::OutOfRange("machine id " + std::to_string(id));
-            }
-            machines[static_cast<size_t>(id)].max_containers = new_max;
-          }
-          return Status::OK();
-        }));
+    KEA_ASSIGN_OR_RETURN(
+        std::vector<WaveDelta> deltas,
+        step.RunTyped<std::vector<WaveDelta>>(
+            DeploymentLedger::EventType::kWaveApplied, wkey + "/applied",
+            "rollout.wave_applied",
+            [&] {
+              std::vector<WaveDelta> fresh;
+              const auto& machines = cluster->machines();
+              for (int id : wave_machines) {
+                if (id < 0 || static_cast<size_t>(id) >= machines.size()) continue;
+                const sim::Machine& m = machines[static_cast<size_t>(id)];
+                auto it = targets.find(m.group());
+                if (it == targets.end() || m.max_containers == it->second) continue;
+                fresh.push_back({id, m.max_containers, it->second});
+              }
+              return fresh;
+            },
+            [&](const std::vector<WaveDelta>& applied) -> Status {
+              auto& machines = cluster->mutable_machines();
+              for (const WaveDelta& d : applied) {
+                if (d.machine < 0 ||
+                    static_cast<size_t>(d.machine) >= machines.size()) {
+                  return Status::OutOfRange("machine id " +
+                                            std::to_string(d.machine));
+                }
+                machines[static_cast<size_t>(d.machine)].max_containers =
+                    d.new_max;
+              }
+              return Status::OK();
+            }));
     MachineSnapshot snapshot;
-    {
-      StateReader sr(payload);
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(sr.GetU64(&count));
-      for (uint64_t i = 0; i < count; ++i) {
-        int id = 0, old_max = 0, new_max = 0;
-        KEA_RETURN_IF_ERROR(sr.GetInt(&id));
-        KEA_RETURN_IF_ERROR(sr.GetInt(&old_max));
-        KEA_RETURN_IF_ERROR(sr.GetInt(&new_max));
-        snapshot.emplace_back(id, old_max);
-      }
-    }
+    for (const WaveDelta& d : deltas) snapshot.emplace_back(d.machine, d.old_max);
     wave.machines_changed = snapshot.size();
     if (wave.machines_changed == 0) {
       // No targeted machine in this wave: nothing to observe, trivially safe.
@@ -404,42 +329,32 @@ Status GuardrailedRollout::RunWaves(
     for (const auto& entry : snapshots->back()) treated.push_back(entry.first);
 
     // -- WAVE_OBSERVED: advance the world through the observation window.
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kWaveObserved, wkey + "/observed",
-        "rollout.wave_observed",
-        [&] {
-          StateWriter sw;
-          sw.PutI64(now);
-          sw.PutI64(now + options_.observe_hours_per_wave);
-          return sw.Release();
-        },
-        [&](const std::string&) {
-          return advance(options_.observe_hours_per_wave);
-        }));
-    {
-      StateReader sr(payload);
-      int64_t begin = 0, end = 0;
-      KEA_RETURN_IF_ERROR(sr.GetI64(&begin));
-      KEA_RETURN_IF_ERROR(sr.GetI64(&end));
-      wave.observe_begin = static_cast<sim::HourIndex>(begin);
-      wave.observe_end = static_cast<sim::HourIndex>(end);
-      now = wave.observe_end;
-    }
+    KEA_ASSIGN_OR_RETURN(
+        HourSpan observed,
+        step.RunTyped<HourSpan>(
+            DeploymentLedger::EventType::kWaveObserved, wkey + "/observed",
+            "rollout.wave_observed",
+            [&] { return HourSpan{now, now + options_.observe_hours_per_wave}; },
+            [&](const HourSpan&) {
+              return advance(options_.observe_hours_per_wave);
+            }));
+    wave.observe_begin = observed.begin;
+    wave.observe_end = observed.end;
+    now = wave.observe_end;
 
     // -- WAVE_VERDICT: the guardrail decision, recorded before it is acted
     // on. A resumed round reuses the recorded verdict rather than judging
     // twice (the deterministic re-evaluation would match, but the record is
     // the authority).
-    KEA_ASSIGN_OR_RETURN(payload, step.Run(
-        DeploymentLedger::EventType::kWaveVerdict, wkey + "/verdict",
-        "rollout.wave_verdict",
-        [&] {
-          return EncodeEvaluation(EvaluateGuardrails(
-              *store, options_.guardrails, treated, baseline_begin, start_hour,
-              wave.observe_begin, wave.observe_end));
-        },
-        nullptr));
-    KEA_RETURN_IF_ERROR(DecodeEvaluation(payload, &wave.eval));
+    KEA_ASSIGN_OR_RETURN(
+        wave.eval,
+        step.RunTyped<GuardrailEvaluation>(
+            DeploymentLedger::EventType::kWaveVerdict, wkey + "/verdict",
+            "rollout.wave_verdict", [&] {
+              return EvaluateGuardrails(*store, options_.guardrails, treated,
+                                        baseline_begin, start_hour,
+                                        wave.observe_begin, wave.observe_end);
+            }));
     wave.passed = wave.eval.pass();
     tripped = !wave.passed;
     report->waves.push_back(std::move(wave));
@@ -447,24 +362,22 @@ Status GuardrailedRollout::RunWaves(
     if (tripped) {
       TripsCounter()->Increment();
       report->tripped_wave = static_cast<int>(w);
-      // -- ROLLBACK: restore every applied wave, newest first.
-      KEA_ASSIGN_OR_RETURN(payload, step.Run(
-          DeploymentLedger::EventType::kRollback, rkey + "/rollback",
-          "rollout.rollback",
-          [&] {
-            size_t total = 0;
-            for (const MachineSnapshot& s : *snapshots) total += s.size();
-            StateWriter sw;
-            sw.PutU64(total);
-            return sw.Release();
-          },
-          [&](const std::string&) {
-            Restore(*snapshots, cluster);
-            return Status::OK();
-          }));
-      StateReader sr(payload);
-      uint64_t restored = 0;
-      KEA_RETURN_IF_ERROR(sr.GetU64(&restored));
+      // -- ROLLBACK: restore every applied wave, newest first. The payload is
+      // the number of machines restored.
+      KEA_ASSIGN_OR_RETURN(
+          uint64_t restored,
+          step.RunTyped<uint64_t>(
+              DeploymentLedger::EventType::kRollback, rkey + "/rollback",
+              "rollout.rollback",
+              [&] {
+                uint64_t total = 0;
+                for (const MachineSnapshot& s : *snapshots) total += s.size();
+                return total;
+              },
+              [&](const uint64_t&) {
+                Restore(*snapshots, cluster);
+                return Status::OK();
+              }));
       report->machines_restored = restored;
       RollbacksCounter()->Increment();
       MachinesRestoredCounter()->Increment(restored);

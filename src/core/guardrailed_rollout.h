@@ -58,9 +58,8 @@ struct GuardrailEvaluation {
   /// a trip (never conclude "healthy" from silence).
   bool measurable = false;
   /// SLO guardrail verdict. slo_checked records whether the guardrail was
-  /// enabled for this evaluation; slo_ok defaults true so evaluations
-  /// decoded from pre-SLO ledger blobs (and runs with the guardrail off)
-  /// pass unchanged.
+  /// enabled for this evaluation; slo_ok defaults true so runs with the
+  /// guardrail off pass unchanged.
   bool slo_checked = false;
   double observed_slo_burn = 0.0;
   bool slo_ok = true;
@@ -70,6 +69,49 @@ struct GuardrailEvaluation {
   }
   std::string Describe() const;
 };
+
+/// Wire layout of a guardrail evaluation (the WAVE_VERDICT and FLIGHT_VERDICT
+/// payload); see common/snapshot.h.
+template <class Io>
+void Transfer(Io& io, GuardrailEvaluation& e) {
+  io(e.baseline_latency_s, e.observed_latency_s, e.baseline_queue_p99_ms,
+     e.observed_queue_p99_ms, e.baseline_utilization, e.observed_utilization,
+     e.latency_ok, e.queue_ok, e.utilization_ok, e.measurable, e.slo_checked,
+     e.observed_slo_burn, e.slo_ok);
+}
+
+/// Hours the world advanced through: the WAVE_OBSERVED and FABRIC_ADVANCED
+/// payload.
+struct HourSpan {
+  sim::HourIndex begin = 0;
+  sim::HourIndex end = 0;
+};
+template <class Io>
+void Transfer(Io& io, HourSpan& span) {
+  io(span.begin, span.end);
+}
+
+/// WAVE_STARTED payload: the sub-clusters one rollout wave covers, and the
+/// first sub-cluster of the next wave.
+struct WaveStarted {
+  int end_sc = 0;
+  std::vector<int> sub_clusters;
+};
+template <class Io>
+void Transfer(Io& io, WaveStarted& wave) {
+  io(wave.end_sc, wave.sub_clusters);
+}
+
+/// One machine of a WAVE_APPLIED payload, which is a std::vector<WaveDelta>.
+struct WaveDelta {
+  int machine = 0;
+  int old_max = 0;
+  int new_max = 0;
+};
+template <class Io>
+void Transfer(Io& io, WaveDelta& delta) {
+  io(delta.machine, delta.old_max, delta.new_max);
+}
 
 /// Guardrail verdict for `machine_ids`: the observed window [begin, end)
 /// against the same machines' baseline window [baseline_begin, baseline_end).
@@ -118,6 +160,7 @@ class GuardrailedRollout {
     kRolledBack,  ///< A guardrail tripped; pre-rollout config restored.
     kNoChange,    ///< Every recommendation clamped to a no-op; nothing applied.
   };
+  friend constexpr Outcome StateEnumMax(Outcome) { return Outcome::kNoChange; }
 
   struct WaveResult {
     int wave = 0;
@@ -166,10 +209,6 @@ class GuardrailedRollout {
                            const telemetry::TelemetryStore* store,
                            sim::HourIndex start_hour, const AdvanceFn& advance,
                            JournalContext* ctx = nullptr);
-
-  /// Bit-exact codec for GuardrailEvaluation (used in WAVE_VERDICT payloads).
-  static std::string EncodeEvaluation(const GuardrailEvaluation& eval);
-  static Status DecodeEvaluation(const std::string& blob, GuardrailEvaluation* eval);
 
  private:
   /// Snapshot entry: (machine id, pre-rollout max_containers).

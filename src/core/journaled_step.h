@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 
+#include "common/snapshot.h"
 #include "common/status.h"
 #include "core/deployment_ledger.h"
 
@@ -63,6 +64,40 @@ class JournaledStep {
                             const std::string& crash_point,
                             const PayloadFn& make_payload,
                             const EffectFn& effect) const;
+
+  /// Run() over a typed payload P, encoded through its field list (see
+  /// common/snapshot.h). `make` returns a P or StatusOr<P>; `effect` (may be
+  /// null) acts on the decoded payload. Whichever path the step takes, the
+  /// recorded bytes are decoded exactly once, and that decode is what the
+  /// caller gets back.
+  template <class P, class MakeFn>
+  StatusOr<P> RunTyped(DeploymentLedger::EventType type,
+                       const std::string& key, const std::string& crash_point,
+                       const MakeFn& make,
+                       const std::function<Status(const P&)>& effect =
+                           nullptr) const {
+    P payload{};
+    bool decoded = false;
+    EffectFn on_payload;
+    if (effect) {
+      on_payload = [&](const std::string& blob) -> Status {
+        KEA_RETURN_IF_ERROR(DecodeState(blob, &payload));
+        decoded = true;
+        return effect(payload);
+      };
+    }
+    KEA_ASSIGN_OR_RETURN(
+        std::string blob,
+        Run(type, key, crash_point,
+            [&]() -> StatusOr<std::string> {
+              StatusOr<P> made = make();
+              if (!made.ok()) return made.status();
+              return EncodeState(made.value());
+            },
+            on_payload));
+    if (!decoded) KEA_RETURN_IF_ERROR(DecodeState(blob, &payload));
+    return payload;
+  }
 
  private:
   explicit JournaledStep(JournalContext* ctx) : ctx_(ctx) {}

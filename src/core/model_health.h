@@ -30,6 +30,7 @@ namespace kea::core {
 class ModelHealth {
  public:
   enum class State { kHealthy, kTripped, kRefitting, kRearmed };
+  friend constexpr State StateEnumMax(State) { return State::kRearmed; }
 
   struct Options {
     /// Trip when a validation pass reports relative error above this.
@@ -111,6 +112,9 @@ class ModelHealth {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, ModelHealth& health);
+
   Options options_;
   State state_ = State::kHealthy;
   std::string trip_reason_;

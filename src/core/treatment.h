@@ -23,6 +23,12 @@ struct TreatmentEffect {
   bool significant = false;  ///< At the 0.05 level.
 };
 
+template <class Io>
+void Transfer(Io& io, TreatmentEffect& e) {
+  io(e.metric, e.control_mean, e.treatment_mean, e.percent_change, e.t_value,
+     e.p_value, e.significant);
+}
+
 /// Computes the treatment effect on a metric from per-unit observations
 /// (machine-hours, machine-days...). Uses Student's t-test, as the paper
 /// does. Returns InvalidArgument when either sample has < 2 observations,

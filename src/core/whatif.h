@@ -16,6 +16,9 @@ namespace kea::core {
 /// kept for the ablation bench; kAuto picks per relationship by 5-fold
 /// cross-validation.
 enum class RegressorKind { kOls, kHuber, kAuto };
+constexpr RegressorKind StateEnumMax(RegressorKind) {
+  return RegressorKind::kAuto;
+}
 
 /// The calibrated model set for one SC-SKU combination k (Figure 9):
 ///   g_k: running containers -> CPU utilization      (Eq. 1-2)

@@ -141,6 +141,13 @@ class PageHinkleyDetector {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, PageHinkleyDetector& detector) {
+    io(detector.count_, detector.mean_, detector.m2_, detector.up_sum_,
+       detector.up_min_, detector.down_sum_, detector.down_max_,
+       detector.alarmed_);
+  }
+
   Options options_;
   // Welford running stats.
   size_t count_ = 0;

@@ -126,6 +126,9 @@ class FleetFaultInjector {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, FleetFaultInjector& injector);
+
   void EnsureSized();
   Rng EntityRng(uint64_t salt, uint64_t entity_id, HourIndex hour) const;
 

@@ -86,6 +86,9 @@ class FluidEngine {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, FluidEngine& engine);
+
   void SimulateHour(HourIndex hour, telemetry::TelemetryStore* store);
 
   const PerfModel* model_;

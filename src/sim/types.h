@@ -40,6 +40,12 @@ struct MachineGroupKey {
   }
 };
 
+/// Wire layout (see common/snapshot.h).
+template <class Io>
+void Transfer(Io& io, MachineGroupKey& key) {
+  io(key.sc, key.sku);
+}
+
 /// "SC<sc>-SKU<sku>" label for reports.
 inline std::string GroupLabel(const MachineGroupKey& key) {
   return "SC" + std::to_string(key.sc + 1) + "-SKU" + std::to_string(key.sku);

@@ -47,8 +47,7 @@ void DriftDetector::ResetSeasonalBaseline() {
                             ? static_cast<size_t>(options_.seasonal_period_hours)
                             : 0;
   for (size_t m = 0; m < kNumMetrics; ++m) {
-    season_value_[m].assign(period, 0.0);
-    season_filled_[m].assign(period, 0);
+    season_[m].assign(period, SeasonSlot{});
   }
 }
 
@@ -75,17 +74,17 @@ void DriftDetector::FeedHour(const HourAgg& agg, std::vector<Alarm>* alarms) {
   for (size_t m = 0; m < kNumMetrics; ++m) {
     if (!present[m]) continue;
     double observation = values[m];
-    if (!season_value_[m].empty()) {
+    if (!season_[m].empty()) {
       // Seasonal differencing: compare against the same hour-of-period from
       // the most recent prior period, as a relative change so one
       // parameterization (and the min_stddev significance floor) fits every
       // metric's scale. The first period only primes the baseline —
       // recurring load cycles must cancel before the detectors see anything.
-      const size_t slot = static_cast<size_t>(agg.hour) % season_value_[m].size();
-      const bool primed = season_filled_[m][slot] != 0;
-      const double baseline = season_value_[m][slot];
-      season_value_[m][slot] = values[m];
-      season_filled_[m][slot] = 1;
+      SeasonSlot& slot =
+          season_[m][static_cast<size_t>(agg.hour) % season_[m].size()];
+      const bool primed = slot.filled;
+      const double baseline = slot.value;
+      slot = {values[m], true};
       if (!primed) continue;
       observation = (values[m] - baseline) /
                     std::max(std::abs(baseline), 1e-12);
@@ -179,109 +178,28 @@ double DriftDetector::max_drift() const {
   return max_drift;
 }
 
-std::string DriftDetector::SerializeState() const {
-  StateWriter w;
-  w.PutU64(cursor_);
-  w.PutI64(fed_watermark_);
-  w.PutI64(last_data_hour_);
-  w.PutBool(drifting_);
-  w.PutBool(stale_alarmed_);
-  w.PutU64(staleness_alarms_);
-  for (size_t m = 0; m < kNumMetrics; ++m) {
-    w.PutU64(alarm_counts_[m]);
-    w.PutString(detectors_[m].SerializeState());
-    w.PutU64(season_value_[m].size());
-    for (size_t s = 0; s < season_value_[m].size(); ++s) {
-      w.PutDouble(season_value_[m][s]);
-      w.PutBool(season_filled_[m][s] != 0);
-    }
+template <class Io>
+void Transfer(Io& io, DriftDetector& d) {
+  io(d.cursor_, d.fed_watermark_, d.last_data_hour_, d.drifting_,
+     d.stale_alarmed_, d.staleness_alarms_);
+  for (size_t m = 0; m < DriftDetector::kNumMetrics; ++m) {
+    io(d.alarm_counts_[m], Nested(d.detectors_[m]), d.season_[m]);
   }
-  w.PutU64(pending_.size());
-  for (const HourAgg& a : pending_) {
-    w.PutI64(a.hour);
-    w.PutU64(a.records);
-    w.PutU64(a.active);
-    w.PutDouble(a.util_sum);
-    w.PutDouble(a.latency_sum);
-    w.PutDouble(a.queue_sum);
-    w.PutDouble(a.tasks_sum);
-  }
-  return w.Release();
+  io(d.pending_);
 }
 
+std::string DriftDetector::SerializeState() const { return EncodeState(*this); }
+
 Status DriftDetector::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  uint64_t cursor = 0;
-  int64_t fed_watermark = 0, last_data_hour = 0;
-  bool drifting = false, stale_alarmed = false;
-  uint64_t staleness_alarms = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&cursor));
-  KEA_RETURN_IF_ERROR(r.GetI64(&fed_watermark));
-  KEA_RETURN_IF_ERROR(r.GetI64(&last_data_hour));
-  KEA_RETURN_IF_ERROR(r.GetBool(&drifting));
-  KEA_RETURN_IF_ERROR(r.GetBool(&stale_alarmed));
-  KEA_RETURN_IF_ERROR(r.GetU64(&staleness_alarms));
-  std::array<size_t, kNumMetrics> alarm_counts{};
-  std::array<ml::PageHinkleyDetector, kNumMetrics> detectors;
-  std::array<std::vector<double>, kNumMetrics> season_value;
-  std::array<std::vector<uint8_t>, kNumMetrics> season_filled;
+  DriftDetector restored = *this;
+  KEA_RETURN_IF_ERROR(DecodeState(blob, &restored));
   for (size_t m = 0; m < kNumMetrics; ++m) {
-    uint64_t count = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&count));
-    alarm_counts[m] = count;
-    std::string state;
-    KEA_RETURN_IF_ERROR(r.GetString(&state));
-    detectors[m] = ml::PageHinkleyDetector(options_.page_hinkley);
-    KEA_RETURN_IF_ERROR(detectors[m].RestoreState(state));
-    uint64_t period = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&period));
-    const size_t expected = options_.seasonal_period_hours > 0
-                                ? static_cast<size_t>(options_.seasonal_period_hours)
-                                : 0;
-    if (period != expected) {
+    if (restored.season_[m].size() != season_[m].size()) {
       return Status::InvalidArgument(
           "drift-detector state has a different seasonal period");
     }
-    season_value[m].resize(period);
-    season_filled[m].resize(period);
-    for (size_t s = 0; s < period; ++s) {
-      KEA_RETURN_IF_ERROR(r.GetDouble(&season_value[m][s]));
-      bool filled = false;
-      KEA_RETURN_IF_ERROR(r.GetBool(&filled));
-      season_filled[m][s] = filled ? 1 : 0;
-    }
   }
-  uint64_t n_pending = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&n_pending));
-  std::vector<HourAgg> pending(n_pending);
-  for (HourAgg& a : pending) {
-    int64_t hour = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&hour));
-    a.hour = static_cast<sim::HourIndex>(hour);
-    uint64_t records = 0, active = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&records));
-    KEA_RETURN_IF_ERROR(r.GetU64(&active));
-    a.records = records;
-    a.active = active;
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.util_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.latency_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.queue_sum));
-    KEA_RETURN_IF_ERROR(r.GetDouble(&a.tasks_sum));
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in drift-detector state");
-  }
-  cursor_ = cursor;
-  fed_watermark_ = static_cast<sim::HourIndex>(fed_watermark);
-  last_data_hour_ = static_cast<sim::HourIndex>(last_data_hour);
-  drifting_ = drifting;
-  stale_alarmed_ = stale_alarmed;
-  staleness_alarms_ = staleness_alarms;
-  alarm_counts_ = alarm_counts;
-  detectors_ = detectors;
-  season_value_ = std::move(season_value);
-  season_filled_ = std::move(season_filled);
-  pending_ = std::move(pending);
+  *this = std::move(restored);
   return Status::OK();
 }
 

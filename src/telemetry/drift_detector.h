@@ -110,6 +110,9 @@ class DriftDetector {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, DriftDetector& detector);
+
   struct HourAgg {
     sim::HourIndex hour = 0;
     size_t records = 0;
@@ -118,6 +121,24 @@ class DriftDetector {
     double latency_sum = 0.0;
     double queue_sum = 0.0;
     double tasks_sum = 0.0;
+
+    template <class Io>
+    friend void Transfer(Io& io, HourAgg& a) {
+      io(a.hour, a.records, a.active, a.util_sum, a.latency_sum, a.queue_sum,
+         a.tasks_sum);
+    }
+  };
+
+  /// One hour-of-period seasonal baseline; `filled` distinguishes "no prior
+  /// period yet" from a stored 0.
+  struct SeasonSlot {
+    double value = 0.0;
+    bool filled = false;
+
+    template <class Io>
+    friend void Transfer(Io& io, SeasonSlot& s) {
+      io(s.value, s.filled);
+    }
   };
 
   void FeedHour(const HourAgg& agg, std::vector<Alarm>* alarms);
@@ -134,10 +155,8 @@ class DriftDetector {
   bool stale_alarmed_ = false;
   std::vector<HourAgg> pending_;    ///< Hours aggregated but not yet fed.
 
-  /// Seasonal baselines for differencing, indexed [metric][hour % period];
-  /// the filled flag distinguishes "no prior week yet" from a stored 0.
-  std::array<std::vector<double>, kNumMetrics> season_value_;
-  std::array<std::vector<uint8_t>, kNumMetrics> season_filled_;
+  /// Seasonal baselines for differencing, indexed [metric][hour % period].
+  std::array<std::vector<SeasonSlot>, kNumMetrics> season_;
 };
 
 }  // namespace kea::telemetry

@@ -203,123 +203,19 @@ Status IngestionPipeline::Ingest(const std::vector<MachineHourRecord>& batch) {
   return Status::OK();
 }
 
+template <class Io>
+void Transfer(Io& io, IngestionPipeline& p) {
+  IngestionPipeline::Counters& c = p.counters_;
+  io(c.seen, c.accepted, c.quarantined, c.by_reason, c.transient_write_failures,
+     p.quarantine_, p.seen_keys_, p.watermark_, p.stuck_, p.retry_);
+}
+
 std::string IngestionPipeline::SerializeState() const {
-  StateWriter w;
-  w.PutU64(counters_.seen);
-  w.PutU64(counters_.accepted);
-  w.PutU64(counters_.quarantined);
-  for (size_t n : counters_.by_reason) w.PutU64(n);
-  w.PutU64(counters_.transient_write_failures);
-
-  w.PutU64(quarantine_.size());
-  for (const QuarantinedRecord& q : quarantine_) {
-    PutMachineHourRecord(q.record, &w);
-    w.PutInt(static_cast<int>(q.reason));
-    w.PutI64(q.watermark);
-  }
-
-  // Canonical (sorted) order so two pipelines with identical logical state
-  // serialize identically regardless of hash-table iteration order.
-  std::vector<uint64_t> keys(seen_keys_.begin(), seen_keys_.end());
-  std::sort(keys.begin(), keys.end());
-  w.PutU64(keys.size());
-  for (uint64_t k : keys) w.PutU64(k);
-
-  w.PutI64(watermark_);
-
-  std::vector<std::pair<int, StuckState>> stuck(stuck_.begin(), stuck_.end());
-  std::sort(stuck.begin(), stuck.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.PutU64(stuck.size());
-  for (const auto& [machine, state] : stuck) {
-    w.PutInt(machine);
-    w.PutU64(state.signature);
-    w.PutInt(state.run_length);
-  }
-
-  const RetryPolicy::Stats& rs = retry_.stats();
-  w.PutI64(rs.calls);
-  w.PutI64(rs.attempts);
-  w.PutI64(rs.retries);
-  w.PutI64(rs.exhausted);
-  w.PutDouble(rs.total_backoff_ms);
-  return w.Release();
+  return EncodeState(*this);
 }
 
 Status IngestionPipeline::RestoreState(const std::string& blob) {
-  StateReader r(blob);
-  Counters counters;
-  uint64_t u = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.seen = u;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.accepted = u;
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.quarantined = u;
-  for (size_t& n : counters.by_reason) {
-    KEA_RETURN_IF_ERROR(r.GetU64(&u));
-    n = u;
-  }
-  KEA_RETURN_IF_ERROR(r.GetU64(&u));
-  counters.transient_write_failures = u;
-
-  uint64_t count = 0;
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::vector<QuarantinedRecord> quarantine(count);
-  for (QuarantinedRecord& q : quarantine) {
-    KEA_RETURN_IF_ERROR(GetMachineHourRecord(&r, &q.record));
-    int reason = 0;
-    KEA_RETURN_IF_ERROR(r.GetInt(&reason));
-    if (reason < 0 || reason >= static_cast<int>(kNumQuarantineReasons)) {
-      return Status::InvalidArgument("bad quarantine reason in state blob");
-    }
-    q.reason = static_cast<QuarantineReason>(reason);
-    int64_t wm = 0;
-    KEA_RETURN_IF_ERROR(r.GetI64(&wm));
-    q.watermark = static_cast<sim::HourIndex>(wm);
-  }
-
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::unordered_set<uint64_t> seen_keys;
-  seen_keys.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t k = 0;
-    KEA_RETURN_IF_ERROR(r.GetU64(&k));
-    seen_keys.insert(k);
-  }
-
-  int64_t watermark = 0;
-  KEA_RETURN_IF_ERROR(r.GetI64(&watermark));
-
-  KEA_RETURN_IF_ERROR(r.GetU64(&count));
-  std::unordered_map<int, StuckState> stuck;
-  stuck.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int machine = 0;
-    StuckState state;
-    KEA_RETURN_IF_ERROR(r.GetInt(&machine));
-    KEA_RETURN_IF_ERROR(r.GetU64(&state.signature));
-    KEA_RETURN_IF_ERROR(r.GetInt(&state.run_length));
-    stuck[machine] = state;
-  }
-
-  RetryPolicy::Stats rs;
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.calls));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.attempts));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.retries));
-  KEA_RETURN_IF_ERROR(r.GetI64(&rs.exhausted));
-  KEA_RETURN_IF_ERROR(r.GetDouble(&rs.total_backoff_ms));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in ingestion state blob");
-  }
-
-  counters_ = counters;
-  quarantine_ = std::move(quarantine);
-  seen_keys_ = std::move(seen_keys);
-  watermark_ = static_cast<sim::HourIndex>(watermark);
-  stuck_ = std::move(stuck);
-  retry_.RestoreStats(rs);
-
+  KEA_RETURN_IF_ERROR(DecodeState(blob, this));
   // Re-point the registry mirrors at the restored totals so a resumed
   // process reports the same counts the crashed one had durably recorded
   // (obs_test asserts the snapshot is bit-identical across the cycle).

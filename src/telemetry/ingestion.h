@@ -26,6 +26,9 @@ enum class QuarantineReason {
   kWriteFailed,       ///< Sink write failed even after retries.
 };
 constexpr size_t kNumQuarantineReasons = 7;
+constexpr QuarantineReason StateEnumMax(QuarantineReason) {
+  return QuarantineReason::kWriteFailed;
+}
 
 const char* QuarantineReasonToString(QuarantineReason reason);
 
@@ -36,6 +39,11 @@ struct QuarantinedRecord {
   QuarantineReason reason = QuarantineReason::kNonFinite;
   sim::HourIndex watermark = 0;
 };
+
+template <class Io>
+void Transfer(Io& io, QuarantinedRecord& q) {
+  io(q.record, q.reason, q.watermark);
+}
 
 /// Pluggable sink write. `attempt` is the 0-based retry attempt; the fault
 /// injector's hook uses it to decide which attempts fail transiently. The
@@ -121,6 +129,9 @@ class IngestionPipeline {
   Status RestoreState(const std::string& blob);
 
  private:
+  template <class Io>
+  friend void Transfer(Io& io, IngestionPipeline& pipeline);
+
   /// Validation verdict for one record, OK reasons aside.
   bool Validate(const MachineHourRecord& r, QuarantineReason* reason) const;
   void Quarantine(const MachineHourRecord& r, QuarantineReason reason);
@@ -140,6 +151,11 @@ class IngestionPipeline {
   struct StuckState {
     uint64_t signature = 0;
     int run_length = 0;
+
+    template <class Io>
+    friend void Transfer(Io& io, StuckState& s) {
+      io(s.signature, s.run_length);
+    }
   };
   std::unordered_map<int, StuckState> stuck_;
 };

@@ -41,51 +41,4 @@ std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r) {
           d(r.power_watts)};
 }
 
-void PutMachineHourRecord(const MachineHourRecord& r, StateWriter* w) {
-  w->PutInt(r.machine_id);
-  w->PutI64(r.hour);
-  w->PutInt(r.rack);
-  w->PutInt(r.sku);
-  w->PutInt(r.sc);
-  w->PutDouble(r.avg_running_containers);
-  w->PutDouble(r.cpu_utilization);
-  w->PutDouble(r.tasks_finished);
-  w->PutDouble(r.data_read_mb);
-  w->PutDouble(r.avg_task_latency_s);
-  w->PutDouble(r.cpu_time_core_s);
-  w->PutDouble(r.queued_containers);
-  w->PutDouble(r.queue_latency_ms);
-  w->PutDouble(r.rejected_containers);
-  w->PutDouble(r.cores_used);
-  w->PutDouble(r.ssd_used_gb);
-  w->PutDouble(r.ram_used_gb);
-  w->PutDouble(r.network_used_mbps);
-  w->PutDouble(r.power_watts);
-}
-
-Status GetMachineHourRecord(StateReader* reader, MachineHourRecord* r) {
-  KEA_RETURN_IF_ERROR(reader->GetInt(&r->machine_id));
-  int64_t hour = 0;
-  KEA_RETURN_IF_ERROR(reader->GetI64(&hour));
-  r->hour = static_cast<sim::HourIndex>(hour);
-  KEA_RETURN_IF_ERROR(reader->GetInt(&r->rack));
-  KEA_RETURN_IF_ERROR(reader->GetInt(&r->sku));
-  KEA_RETURN_IF_ERROR(reader->GetInt(&r->sc));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->avg_running_containers));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->cpu_utilization));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->tasks_finished));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->data_read_mb));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->avg_task_latency_s));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->cpu_time_core_s));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->queued_containers));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->queue_latency_ms));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->rejected_containers));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->cores_used));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->ssd_used_gb));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->ram_used_gb));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->network_used_mbps));
-  KEA_RETURN_IF_ERROR(reader->GetDouble(&r->power_watts));
-  return Status::OK();
-}
-
 }  // namespace kea::telemetry

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "sim/types.h"
 
 namespace kea::telemetry {
@@ -87,10 +86,16 @@ struct JobRecord {
 std::vector<std::string> MachineHourCsvHeader();
 std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r);
 
-/// Bit-exact binary codec for checkpoint blobs (fault-injector queues,
-/// quarantine contents). Doubles are stored as raw IEEE-754 bit patterns.
-void PutMachineHourRecord(const MachineHourRecord& r, StateWriter* w);
-Status GetMachineHourRecord(StateReader* reader, MachineHourRecord* r);
+/// Wire layout for checkpoint blobs (fault-injector queues, quarantine
+/// contents); see common/snapshot.h.
+template <class Io>
+void Transfer(Io& io, MachineHourRecord& r) {
+  io(r.machine_id, r.hour, r.rack, r.sku, r.sc, r.avg_running_containers,
+     r.cpu_utilization, r.tasks_finished, r.data_read_mb, r.avg_task_latency_s,
+     r.cpu_time_core_s, r.queued_containers, r.queue_latency_ms,
+     r.rejected_containers, r.cores_used, r.ssd_used_gb, r.ram_used_gb,
+     r.network_used_mbps, r.power_watts);
+}
 
 }  // namespace kea::telemetry
 

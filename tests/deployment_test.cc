@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/csv.h"
+#include "common/snapshot.h"
 #include "core/deployment_ledger.h"
 
 namespace kea::core {
@@ -270,6 +271,20 @@ TEST(DeploymentTest, Validation) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(DeploymentTest, ChangeBatchCodecRejectsForgedCount) {
+  std::vector<AppliedChange> batch = {{{0, 1}, 7, 8, false},
+                                      {{1, 2}, 9, 8, true}};
+  std::vector<AppliedChange> back;
+  ASSERT_TRUE(DecodeState(EncodeState(batch), &back).ok());
+  EXPECT_EQ(EncodeState(back), EncodeState(batch));
+
+  StateWriter w;
+  w.PutU64(uint64_t{1} << 62);
+  EXPECT_EQ(DecodeState(w.Release(), &back).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncodeState(back), EncodeState(batch));  // Untouched on failure.
 }
 
 }  // namespace

@@ -193,7 +193,7 @@ std::string FabricReportSignature(const ExperimentFabric::Report& report) {
   w.PutI64(report.end_hour);
   w.PutU64(report.flights.size());
   for (const auto& c : report.flights) {
-    w.PutString(ExperimentFabric::EncodeConclusion(c));
+    w.PutString(EncodeState(c));
   }
   return w.Release();
 }
@@ -515,19 +515,24 @@ TEST(ExperimentFabricTest, ConclusionCodecRoundTrips) {
   c.machines_restored = 3;
 
   ExperimentFabric::FlightConclusion back;
-  ASSERT_TRUE(ExperimentFabric::DecodeConclusion(
-                  ExperimentFabric::EncodeConclusion(c), &back)
-                  .ok());
-  EXPECT_EQ(ExperimentFabric::EncodeConclusion(back),
-            ExperimentFabric::EncodeConclusion(c));
+  ASSERT_TRUE(DecodeState(EncodeState(c), &back).ok());
+  EXPECT_EQ(EncodeState(back), EncodeState(c));
   EXPECT_EQ(back.name, "codec");
   EXPECT_EQ(back.racks, c.racks);
   EXPECT_EQ(back.treatment_machines, c.treatment_machines);
   EXPECT_TRUE(back.tripped);
   EXPECT_EQ(back.treatment_down_hours, 5u);
 
-  EXPECT_FALSE(
-      ExperimentFabric::DecodeConclusion("torn", &back).ok());
+  EXPECT_FALSE(DecodeState("torn", &back).ok());
+
+  // The rejection reason follows the flight index (8 bytes), the name
+  // (u32 length + bytes) and the admitted flag (u32); a value past the last
+  // InterferenceReason is rejected, not cast.
+  std::string forged = EncodeState(c);
+  const size_t reason_at = 8 + 4 + c.name.size() + 4;
+  ASSERT_EQ(forged[reason_at], static_cast<char>(c.rejected));
+  forged[reason_at] = 42;
+  EXPECT_EQ(DecodeState(forged, &back).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

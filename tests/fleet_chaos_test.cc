@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "apps/session.h"
+#include "common/snapshot.h"
 #include "sim/fleet_fault_injector.h"
 #include "sim/fluid_engine.h"
 #include "sim/job_sim.h"
@@ -170,6 +171,18 @@ TEST(FleetFaultInjectorTest, SerializeRestoreRoundTrip) {
   b.BeginHour(250);
   EXPECT_EQ(a.SerializeState(), b.SerializeState());
   EXPECT_FALSE(b.RestoreState("garbage").ok());
+}
+
+TEST(FleetFaultInjectorTest, RestoreRejectsForgedCountWithoutAllocating) {
+  Cluster cluster = MakeCluster(20);
+  FleetFaultInjector injector(&cluster, FleetFaultProfile::CrashStorm(), 3);
+  const std::string before = injector.SerializeState();
+  StateWriter w;
+  w.PutI64(7);               // current_hour
+  w.PutU64(uint64_t{1} << 62);  // down_until count: nothing behind it
+  EXPECT_EQ(injector.RestoreState(w.Release()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(injector.SerializeState(), before);  // Untouched on failure.
 }
 
 struct EngineFixture {

@@ -5,6 +5,8 @@
 #include <random>
 #include <set>
 
+#include "common/snapshot.h"
+
 namespace kea::core {
 namespace {
 
@@ -237,7 +239,7 @@ TEST(FlightingServiceTest, ConfigPatchCodecRoundTrips) {
   patch.feature_enabled = true;
   patch.software_config = 1;
   ConfigPatch back;
-  ASSERT_TRUE(DecodeConfigPatch(EncodeConfigPatch(patch), &back).ok());
+  ASSERT_TRUE(DecodeState(EncodeState(patch), &back).ok());
   EXPECT_EQ(back.max_containers, patch.max_containers);
   EXPECT_EQ(back.power_cap_fraction, patch.power_cap_fraction);
   EXPECT_EQ(back.feature_enabled, patch.feature_enabled);
@@ -248,14 +250,14 @@ TEST(FlightingServiceTest, ConfigPatchCodecRoundTrips) {
   sparse.feature_enabled = false;
   ConfigPatch sparse_back;
   ASSERT_TRUE(
-      DecodeConfigPatch(EncodeConfigPatch(sparse), &sparse_back).ok());
+      DecodeState(EncodeState(sparse), &sparse_back).ok());
   EXPECT_FALSE(sparse_back.max_containers.has_value());
   EXPECT_FALSE(sparse_back.power_cap_fraction.has_value());
   EXPECT_FALSE(sparse_back.software_config.has_value());
   ASSERT_TRUE(sparse_back.feature_enabled.has_value());
   EXPECT_FALSE(*sparse_back.feature_enabled);
 
-  EXPECT_FALSE(DecodeConfigPatch("torn", &back).ok());
+  EXPECT_FALSE(DecodeState("torn", &back).ok());
 }
 
 TEST(FlightingServiceTest, BeginEndCycleCanRepeat) {

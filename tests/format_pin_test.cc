@@ -3,7 +3,9 @@
 // faults, fleet chaos and self-healing enabled that ran one guarded round and
 // one two-flight fabric run, then stopped cleanly. Resuming that directory and
 // checkpointing again must rewrite checkpoint.kea byte for byte, and every
-// ledger payload must decode and re-encode to the same bytes.
+// ledger payload must decode and re-encode to the same bytes. Every torn
+// variant of a section or payload (each strict prefix, or one byte extra)
+// must be rejected. The files double as a seed corpus for decoder fuzzing.
 //
 // The fixture is regenerated (only when a format change is intended) with
 //   format_pin_test --gtest_also_run_disabled_tests
@@ -13,11 +15,14 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/session.h"
+#include "apps/session_checkpoint.h"
 #include "common/io.h"
 #include "common/journal.h"
 #include "common/snapshot.h"
@@ -177,127 +182,68 @@ TEST(FormatPinTest, ResumeThenCheckpointRewritesIdenticalBytes) {
             ReadBytes(kFixtureDir + "/ledger.kea"));
 }
 
-// ---- Ledger payload layouts, spelled as field lists: '8' is any 8-byte
-// field (integer, enum or double), 'b' a bool (u32 0/1), 's' a
-// length-prefixed string, 's{...}' a string holding a nested layout, and
-// '[...]' a u64 count followed by that many groups.
+// ---- Every ledger payload, decoded by its production layout.
 
 using EventType = core::DeploymentLedger::EventType;
+using Decoder = std::function<StatusOr<std::string>(const std::string&)>;
 
-constexpr char kEvaluation[] = "888888bbbbb8b";
-constexpr char kPatch[] = "b8b8bbb8";
-constexpr char kEffect[] = "s88888b";
+/// Decodes `blob` as a P and re-encodes it.
+template <class P>
+StatusOr<std::string> Reencode(const std::string& blob) {
+  P payload{};
+  KEA_RETURN_IF_ERROR(DecodeState(blob, &payload));
+  return EncodeState(payload);
+}
 
-std::string LayoutOf(EventType type) {
-  const std::string eval = kEvaluation;
-  const std::string effect = kEffect;
+Decoder DecoderFor(EventType type) {
   switch (type) {
     case EventType::kRoundStarted:
-      return "888[8888]888[888]";
+      return Reencode<RoundStart>;
     case EventType::kWaveStarted:
-      return "8[8]";
+      return Reencode<core::WaveStarted>;
     case EventType::kWaveApplied:
-      return "[888]";
+      return Reencode<std::vector<core::WaveDelta>>;
     case EventType::kWaveObserved:
     case EventType::kFabricAdvanced:
-      return "88";
+      return Reencode<core::HourSpan>;
     case EventType::kWaveVerdict:
     case EventType::kFlightVerdict:
-      return eval;
+      return Reencode<core::GuardrailEvaluation>;
     case EventType::kRollback:
     case EventType::kFlightRollback:
-      return "8";
+      return Reencode<uint64_t>;
     case EventType::kRoundFinished:
-      return "888";
+      return Reencode<RoundFinished>;
     case EventType::kApply:
     case EventType::kModuleRollback:
-      return "[8888b]";
+      return Reencode<std::vector<core::AppliedChange>>;
     case EventType::kFabricStarted:
-      return "88";
+      return Reencode<FabricStarted>;
     case EventType::kFlightAdmitted:
-      return "888[8][8][8]";
+      return Reencode<core::FlightAdmitted>;
     case EventType::kFlightStarted:
-      return std::string("s{") + kPatch + "}[888" "8b8]88";
+      return Reencode<core::FlightStarted>;
     case EventType::kFlightConcluded:
-      return "8sb8888[8][8][8]b8s{" + eval + "}b" + effect + effect + "88888";
+      return Reencode<core::ExperimentFabric::FlightConclusion>;
     case EventType::kFabricFinished:
-      return "888888";
+      return Reencode<FabricFinished>;
   }
-  return "?";
+  return nullptr;
 }
 
-/// Walks `layout` over `reader`, re-encoding every field into `out`. Returns
-/// the position just past the layout element group that starts at `pos`.
-Status Reencode(const std::string& layout, size_t* pos, StateReader* reader,
-                StateWriter* out) {
-  while (*pos < layout.size()) {
-    const char c = layout[(*pos)++];
-    if (c == ']' || c == '}') return Status::OK();
-    if (c == '8') {
-      uint64_t v = 0;
-      KEA_RETURN_IF_ERROR(reader->GetU64(&v));
-      out->PutU64(v);
-    } else if (c == 'b') {
-      uint32_t v = 0;
-      KEA_RETURN_IF_ERROR(reader->GetU32(&v));
-      if (v > 1) return Status::InvalidArgument("bool out of range");
-      out->PutBool(v != 0);
-    } else if (c == 's') {
-      std::string s;
-      KEA_RETURN_IF_ERROR(reader->GetString(&s));
-      if (*pos < layout.size() && layout[*pos] == '{') {
-        ++*pos;
-        StateReader inner(s);
-        StateWriter inner_out;
-        KEA_RETURN_IF_ERROR(Reencode(layout, pos, &inner, &inner_out));
-        if (!inner.AtEnd()) return Status::InvalidArgument("nested trailer");
-        s = inner_out.Release();
-      }
-      out->PutString(s);
-    } else if (c == '[') {
-      uint64_t count = 0;
-      KEA_RETURN_IF_ERROR(reader->GetU64(&count));
-      out->PutU64(count);
-      const size_t group = *pos;
-      if (count == 0) {
-        // Skip the group without reading: find its closing bracket.
-        int depth = 1;
-        while (depth > 0 && *pos < layout.size()) {
-          const char g = layout[(*pos)++];
-          if (g == '[' || g == '{') ++depth;
-          if (g == ']' || g == '}') --depth;
-        }
-        continue;
-      }
-      for (uint64_t i = 0; i < count; ++i) {
-        *pos = group;
-        KEA_RETURN_IF_ERROR(Reencode(layout, pos, reader, out));
-      }
-    } else {
-      return Status::InvalidArgument(std::string("bad layout char ") + c);
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<std::string> ReencodePayload(EventType type,
-                                      const std::string& payload) {
-  StateReader reader(payload);
-  StateWriter out;
-  size_t pos = 0;
-  KEA_RETURN_IF_ERROR(Reencode(LayoutOf(type), &pos, &reader, &out));
-  if (!reader.AtEnd()) return Status::InvalidArgument("trailing bytes");
-  return out.Release();
+std::vector<core::DeploymentLedger::Event> FixtureEvents() {
+  const std::string dir = CopyFixture("format_pin_ledger");
+  auto ledger = core::DeploymentLedger::Open(dir + "/ledger.kea");
+  EXPECT_TRUE(ledger.ok()) << ledger.status();
+  if (!ledger.ok()) return {};
+  return ledger.value()->events();
 }
 
 TEST(FormatPinTest, EveryLedgerPayloadRoundTrips) {
-  const std::string dir = CopyFixture("format_pin_ledger");
-  auto ledger = core::DeploymentLedger::Open(dir + "/ledger.kea");
-  ASSERT_TRUE(ledger.ok()) << ledger.status();
   std::vector<bool> seen(static_cast<size_t>(EventType::kFabricFinished) + 1);
-  for (const core::DeploymentLedger::Event& event : ledger.value()->events()) {
+  for (const core::DeploymentLedger::Event& event : FixtureEvents()) {
     seen[static_cast<size_t>(event.type)] = true;
-    StatusOr<std::string> again = ReencodePayload(event.type, event.payload);
+    StatusOr<std::string> again = DecoderFor(event.type)(event.payload);
     ASSERT_TRUE(again.ok()) << event.key << ": " << again.status();
     EXPECT_EQ(again.value(), event.payload) << event.key;
   }
@@ -310,11 +256,137 @@ TEST(FormatPinTest, EveryLedgerPayloadRoundTrips) {
         EventType::kFabricStarted, EventType::kFlightAdmitted,
         EventType::kFlightStarted, EventType::kFabricAdvanced,
         EventType::kFlightVerdict, EventType::kFlightRollback,
-        EventType::kFlightConcluded,
-        EventType::kFabricFinished}) {
+        EventType::kFlightConcluded, EventType::kFabricFinished}) {
     EXPECT_TRUE(seen[static_cast<size_t>(type)])
         << core::DeploymentLedger::EventTypeToString(type);
   }
+}
+
+// ---- Torn blobs: every strict prefix of a valid blob, and the blob plus one
+// byte, must be rejected. No decoder may accept a shorter layout as an older
+// format, or ignore what trails its last field.
+
+/// How many torn variants of `blob` `restore` wrongly accepts.
+int AcceptedTorn(const std::string& blob,
+                 const std::function<Status(const std::string&)>& restore) {
+  int accepted = 0;
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    if (restore(blob.substr(0, cut)).ok()) ++accepted;
+  }
+  if (restore(blob + '\x01').ok()) ++accepted;
+  return accepted;
+}
+
+TEST(FormatPinTest, TornLedgerPayloadsAreRejected) {
+  for (const core::DeploymentLedger::Event& event : FixtureEvents()) {
+    const Decoder decode = DecoderFor(event.type);
+    EXPECT_EQ(AcceptedTorn(event.payload,
+                           [&](const std::string& blob) {
+                             return decode(blob).status();
+                           }),
+              0)
+        << event.key;
+    EXPECT_EQ(AcceptedTorn(EncodeState(event),
+                           [](const std::string& blob) {
+                             core::DeploymentLedger::Event back;
+                             return DecodeState(blob, &back);
+                           }),
+              0)
+        << event.key << " record";
+    if (event.type == EventType::kFlightStarted) {
+      // The patch nested inside the payload has a decoder of its own.
+      core::FlightStarted started;
+      ASSERT_TRUE(DecodeState(event.payload, &started).ok());
+      EXPECT_EQ(AcceptedTorn(EncodeState(started.patch),
+                             [](const std::string& blob) {
+                               return Reencode<core::ConfigPatch>(blob)
+                                   .status();
+                             }),
+                0);
+    }
+  }
+  // The fixture runs no DeploymentModule batch; pin its layout directly.
+  const std::vector<core::AppliedChange> batch = {{{0, 1}, 7, 8, false},
+                                                  {{1, 4}, 9, 8, true}};
+  EXPECT_EQ(AcceptedTorn(EncodeState(batch),
+                         [](const std::string& blob) {
+                           return Reencode<std::vector<core::AppliedChange>>(
+                                      blob)
+                               .status();
+                         }),
+            0);
+}
+
+/// Rewrites `dir`'s checkpoint with section `name` replaced by `content`
+/// (CRCs recomputed, so only the section decoder can object).
+void ReplaceSection(const std::string& dir, const std::string& name,
+                    const std::string& content) {
+  auto fixture = SnapshotReader::Open(kFixtureDir + "/checkpoint.kea");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  SnapshotWriter snapshot;
+  for (const auto& [section, bytes] : fixture.value().sections()) {
+    snapshot.AddSection(section, section == name ? content : bytes);
+  }
+  ASSERT_TRUE(snapshot.WriteFile(dir + "/checkpoint.kea").ok());
+}
+
+TEST(FormatPinTest, TornCheckpointSectionsAreRejected) {
+  const std::string dir = CopyFixture("format_pin_torn");
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  KeaSession& session = *resumed.value();
+  // Component sections restore onto copies of the resumed components; the
+  // session's own sections go through Resume itself.
+  auto on_copy = [](auto component) {
+    return [component](const std::string& blob) mutable {
+      return component.RestoreState(blob);
+    };
+  };
+  auto via_resume = [&](const std::string& name) {
+    return [&dir, name](const std::string& blob) {
+      ReplaceSection(dir, name, blob);
+      return KeaSession::Resume(dir).status();
+    };
+  };
+  const std::map<std::string, std::function<Status(const std::string&)>>
+      restore = {
+          {"meta", via_resume("meta")},
+          {"config", via_resume("config")},
+          {"cluster", via_resume("cluster")},
+          {"engine", on_copy(*session.engine())},
+          {"deployment", on_copy(session.deployment())},
+          {"ingestion", on_copy(*session.ingestion())},
+          {"fault_injector", on_copy(*session.fault_injector())},
+          {"fleet_faults", on_copy(*session.fleet_faults())},
+          {"drift", on_copy(*session.drift_detector())},
+          {"model_health", on_copy(*session.model_health())},
+      };
+  auto fixture = SnapshotReader::Open(kFixtureDir + "/checkpoint.kea");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  size_t checked = 0;
+  for (const auto& [name, bytes] : fixture.value().sections()) {
+    if (name == "telemetry") continue;  // CSV text, not a state layout.
+    ASSERT_EQ(restore.count(name), 1u) << "unknown section " << name;
+    ASSERT_TRUE(restore.at(name)(bytes).ok()) << name;
+    EXPECT_EQ(AcceptedTorn(bytes, restore.at(name)), 0) << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, restore.size());
+}
+
+TEST(FormatPinTest, ResumeRejectsAnUnknownRegressor) {
+  const std::string dir = CopyFixture("format_pin_regressor");
+  auto fixture = SnapshotReader::Open(kFixtureDir + "/checkpoint.kea");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  std::string meta = fixture.value().Section("meta").value();
+  // covered_seq, now, has_round (u32), fit begin/end, deploy hour and the
+  // round count precede the regressor kind.
+  const size_t regressor_at = 8 + 8 + 4 + 8 + 8 + 8 + 8;
+  ASSERT_LT(static_cast<unsigned char>(meta[regressor_at]), 3);
+  meta[regressor_at] = 7;
+  ReplaceSection(dir, "meta", meta);
+  EXPECT_EQ(KeaSession::Resume(dir).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -302,6 +304,88 @@ TEST(StateCodecTest, TruncatedBlobNeverFabricates) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << "cut at byte " << cut;
   }
+}
+
+TEST(StateCodecTest, LossyScalarsAreRejected) {
+  // An int64 outside int's range must not be truncated into an int.
+  for (int64_t wide : {int64_t{1} << 31, -(int64_t{1} << 31) - 1,
+                       int64_t{1} << 40}) {
+    StateWriter w;
+    w.PutI64(wide);
+    StateReader r(w.Release());
+    int i = 0;
+    EXPECT_EQ(r.GetInt(&i).code(), StatusCode::kInvalidArgument) << wide;
+  }
+  // A bool is exactly 0 or 1: anything else would re-encode differently.
+  StateWriter w;
+  w.PutU32(2);
+  StateReader r(w.Release());
+  bool b = false;
+  EXPECT_EQ(r.GetBool(&b).code(), StatusCode::kInvalidArgument);
+}
+
+struct CodecProbe {
+  int small = 0;
+  bool flag = false;
+  std::optional<double> maybe;
+  std::vector<std::string> names;
+  std::map<int, uint64_t> counts;
+};
+template <class Io>
+void Transfer(Io& io, CodecProbe& p) {
+  io(p.small, p.flag, p.maybe, p.names, p.counts);
+}
+
+TEST(StateCodecTest, TypedFieldsRoundTripAndRejectWhatCannot) {
+  CodecProbe probe;
+  probe.small = -3;
+  probe.flag = true;
+  probe.maybe = 0.25;
+  probe.names = {"a", "bc"};
+  probe.counts = {{1, 10}, {4, 40}};
+  const std::string blob = EncodeState(probe);
+  CodecProbe back;
+  ASSERT_TRUE(DecodeState(blob, &back).ok());
+  EXPECT_EQ(EncodeState(back), blob);
+
+  // Trailing bytes and every truncation are rejected; a failed decode
+  // leaves the target untouched.
+  CodecProbe untouched;
+  EXPECT_EQ(DecodeState(blob + '\0', &untouched).code(),
+            StatusCode::kInvalidArgument);
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    ASSERT_EQ(DecodeState(blob.substr(0, cut), &untouched).code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+  EXPECT_EQ(EncodeState(untouched), EncodeState(CodecProbe{}));
+
+  // Map keys must ascend, or the blob would not re-encode to itself.
+  StateWriter swapped;
+  swapped(probe.small, probe.flag, probe.maybe, probe.names);
+  swapped.PutU64(2);
+  swapped(4, uint64_t{40}, 1, uint64_t{10});
+  EXPECT_EQ(DecodeState(swapped.Release(), &back).code(),
+            StatusCode::kInvalidArgument);
+
+  // An absent optional must not carry a value.
+  StateWriter absent;
+  absent(probe.small, probe.flag, false, 0.5, probe.names, probe.counts);
+  EXPECT_EQ(DecodeState(absent.Release(), &back).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(StateCodecTest, ReaderKeepsTheFirstError) {
+  StateWriter w;
+  w.PutU64(uint64_t{1} << 62);  // A count far beyond the bytes that follow.
+  StateReader r(w.Release());
+  std::vector<int> v;
+  std::string s;
+  r(v, s);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("count"), std::string::npos)
+      << r.status();
+  EXPECT_TRUE(v.empty());
 }
 
 TEST(DeploymentLedgerTest, AppendIsIdempotentByKey) {

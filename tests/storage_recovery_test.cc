@@ -103,7 +103,7 @@ std::string ReportSignature(const core::GuardrailedRollout::Report& report) {
     w.PutU64(wave.machines_changed);
     w.PutI64(wave.observe_begin);
     w.PutI64(wave.observe_end);
-    w.PutString(core::GuardrailedRollout::EncodeEvaluation(wave.eval));
+    w.PutString(EncodeState(wave.eval));
     w.PutBool(wave.passed);
   }
   return w.Release();
