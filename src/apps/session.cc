@@ -1,8 +1,6 @@
 #include "apps/session.h"
 
 #include <cmath>
-#include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,6 +15,9 @@
 
 namespace kea::apps {
 namespace {
+
+constexpr char kLedgerFile[] = "/ledger.kea";
+constexpr char kCheckpointFile[] = "/checkpoint.kea";
 
 // Deterministic session-level counters: logical calls and simulated hours, not
 // wall clock.

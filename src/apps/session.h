@@ -357,9 +357,6 @@ class KeaSession {
   /// ledger_durable_seq and used on resume to split replay from re-drive).
   Status WriteCheckpoint(uint64_t covered_seq);
 
-  static constexpr char kLedgerFile[] = "/ledger.kea";
-  static constexpr char kCheckpointFile[] = "/checkpoint.kea";
-
   /// The journal context of guarded round or fabric run `run`; the drivers
   /// pass it only when durability is on.
   core::JournalContext JournalFor(int64_t run);

@@ -153,7 +153,7 @@ concept SelfSerializing = requires(T& t, const std::string& blob) {
   { t.RestoreState(blob) } -> std::same_as<Status>;
 };
 
-/// An integer or enum on the wire as a u32 instead of 8 bytes.
+/// An enum on the wire as a u32 instead of 8 bytes.
 template <class T>
 struct U32Field {
   T& value;
@@ -297,6 +297,9 @@ class StateReader {
   /// An integer read as 8 bytes and range-checked into T.
   template <class T>
   void GetInteger(T& v);
+  /// Stores `raw` into `e` when it lies in [0, StateEnumMax].
+  template <class E>
+  void SetEnum(E& e, int64_t raw);
 
   std::string data_;
   size_t pos_ = 0;
@@ -342,25 +345,31 @@ void StateWriter::Put(const T& v) {
     Put(v.value_or(typename T::value_type{}));
   } else if constexpr (kIsArray<T>) {
     for (const auto& element : v) Put(element);
-  } else if constexpr (kIsHashed<T>) {
-    std::vector<const typename T::value_type*> sorted;
-    sorted.reserve(v.size());
-    for (const auto& element : v) sorted.push_back(&element);
-    std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
-      if constexpr (kIsMap<T>) {
-        return a->first < b->first;
-      } else {
-        return *a < *b;
-      }
-    });
-    PutU64(sorted.size());
-    for (const auto* element : sorted) Put(*element);
-  } else if constexpr (kIsVector<T> || kIsMap<T>) {
+  } else if constexpr (kIsVector<T>) {
     PutU64(v.size());
     for (const auto& element : v) Put(element);
-  } else if constexpr (requires { v.first; v.second; }) {
-    Put(v.first);
-    Put(v.second);
+  } else if constexpr (kIsMap<T> || kIsSet<T>) {
+    std::vector<const typename T::value_type*> entries;
+    entries.reserve(v.size());
+    for (const auto& entry : v) entries.push_back(&entry);
+    if constexpr (kIsHashed<T>) {
+      std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
+        if constexpr (kIsMap<T>) {
+          return a->first < b->first;
+        } else {
+          return *a < *b;
+        }
+      });
+    }
+    PutU64(entries.size());
+    for (const auto* entry : entries) {
+      if constexpr (kIsMap<T>) {
+        Put(entry->first);
+        Put(entry->second);
+      } else {
+        Put(*entry);
+      }
+    }
   } else {
     Transfer(*this, const_cast<T&>(v));
   }
@@ -400,15 +409,8 @@ void StateReader::Get(T& v) {
   if constexpr (std::is_same_v<T, bool>) {
     Check(GetBool(&v));
   } else if constexpr (std::is_enum_v<T>) {
-    static_assert(StateEnum<T>, "declare StateEnumMax for this enum");
     int64_t i = 0;
-    if (!Check(GetI64(&i))) return;
-    if (i < 0 || i > static_cast<int64_t>(StateEnumMax(T{}))) {
-      Check(Status::InvalidArgument("state enum value " + std::to_string(i) +
-                                    " out of range"));
-      return;
-    }
-    v = static_cast<T>(i);
+    if (Check(GetI64(&i))) SetEnum(v, i);
   } else if constexpr (std::is_integral_v<T>) {
     GetInteger(v);
   } else if constexpr (std::is_same_v<T, double>) {
@@ -459,19 +461,21 @@ void StateReader::Get(T& v) {
   }
 }
 
+template <class E>
+void StateReader::SetEnum(E& e, int64_t raw) {
+  static_assert(StateEnum<E>, "declare StateEnumMax for this enum");
+  if (raw < 0 || raw > static_cast<int64_t>(StateEnumMax(E{}))) {
+    Check(Status::InvalidArgument("state enum value " + std::to_string(raw) +
+                                  " out of range"));
+    return;
+  }
+  e = static_cast<E>(raw);
+}
+
 template <class T>
 void StateReader::Get(U32Field<T>& f) {
   uint32_t u = 0;
-  if (!status_.ok() || !Check(GetU32(&u))) return;
-  if constexpr (std::is_enum_v<T>) {
-    static_assert(StateEnum<T>, "declare StateEnumMax for this enum");
-    if (u > static_cast<uint32_t>(StateEnumMax(T{}))) {
-      Check(Status::InvalidArgument("state enum value " + std::to_string(u) +
-                                    " out of range"));
-      return;
-    }
-  }
-  f.value = static_cast<T>(u);
+  if (status_.ok() && Check(GetU32(&u))) SetEnum(f.value, u);
 }
 
 template <class T>
