@@ -198,7 +198,9 @@ SnapshotWriter KeaSession::BuildCheckpoint(uint64_t covered_seq) {
   TransferMeta(meta, covered_seq);
   snapshot.AddSection("meta", meta.Release());
   snapshot.AddSection("config", EncodeState(setup_));
-  snapshot.AddSection("telemetry", store_.ToCsv());
+  // Telemetry is append-only, so each checkpoint encodes only the rows
+  // appended since the previous one; the bytes equal store_.ToCsv().
+  snapshot.AddSection("telemetry", store_.EncodedCsv());
   snapshot.AddSection("cluster", EncodeState(cluster_.machines()));
   for (const CheckpointSection& section : CheckpointSections()) {
     if (section.present(*this)) {

@@ -116,13 +116,14 @@ class Rng {
   /// between draws, so engine state alone is not enough for bit-identical
   /// resume). Text format via the standard stream operators.
   std::string SerializeState() const {
-    std::ostringstream out;
-    out << seed_ << '\n' << engine_ << '\n' << unit_ << '\n' << normal_ << '\n';
-    return out.str();
+    return Serialize(seed_, engine_, unit_, normal_);
   }
 
   /// Restores state written by SerializeState(). After a successful restore
   /// the draw sequence continues exactly where the serialized generator was.
+  /// The stream operators skip whitespace and stop after the last field, so
+  /// only text that re-serializes to itself is accepted: anything else would
+  /// load a state that does not round-trip.
   Status RestoreState(const std::string& state) {
     std::istringstream in(state);
     uint64_t seed = 0;
@@ -130,7 +131,7 @@ class Rng {
     std::uniform_real_distribution<double> unit;
     std::normal_distribution<double> normal;
     in >> seed >> engine >> unit >> normal;
-    if (in.fail()) {
+    if (in.fail() || Serialize(seed, engine, unit, normal) != state) {
       return Status::InvalidArgument("malformed Rng state blob");
     }
     seed_ = seed;
@@ -141,6 +142,14 @@ class Rng {
   }
 
  private:
+  static std::string Serialize(uint64_t seed, const std::mt19937_64& engine,
+                               const std::uniform_real_distribution<double>& unit,
+                               const std::normal_distribution<double>& normal) {
+    std::ostringstream out;
+    out << seed << '\n' << engine << '\n' << unit << '\n' << normal << '\n';
+    return out.str();
+  }
+
   uint64_t seed_;
   std::mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};

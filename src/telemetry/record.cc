@@ -1,6 +1,6 @@
 #include "telemetry/record.h"
 
-#include <cstdio>
+#include <charconv>
 
 namespace kea::telemetry {
 
@@ -23,22 +23,29 @@ std::vector<std::string> MachineHourCsvHeader() {
           "ssd_used_gb", "ram_used_gb", "network_used_mbps", "power_watts"};
 }
 
-std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r) {
-  // %.17g round-trips every finite double exactly through strtod, which the
-  // checkpoint/resume path depends on: a store serialized to CSV and parsed
-  // back must be bit-identical to the original.
-  auto d = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  return {std::to_string(r.machine_id), std::to_string(r.hour),
-          std::to_string(r.rack), std::to_string(r.sku), std::to_string(r.sc),
-          d(r.avg_running_containers), d(r.cpu_utilization), d(r.tasks_finished),
-          d(r.data_read_mb), d(r.avg_task_latency_s), d(r.cpu_time_core_s),
-          d(r.queued_containers), d(r.queue_latency_ms), d(r.rejected_containers), d(r.cores_used),
-          d(r.ssd_used_gb), d(r.ram_used_gb), d(r.network_used_mbps),
-          d(r.power_watts)};
+void AppendMachineHourCsvRow(const MachineHourRecord& r, std::string* out) {
+  // std::to_chars with chars_format::general and precision 17 is specified
+  // as printf("%.17g") in the C locale, so the bytes do not depend on the
+  // process locale. %.17g round-trips every finite double exactly through
+  // strtod, which the checkpoint/resume path depends on: a store serialized
+  // to CSV and parsed back must be bit-identical to the original.
+  char row[512];  // 5 ints x 11 + 14 doubles x 24 + 19 separators fit.
+  char* const last = row + sizeof(row) - 1;  // Leaves room for a separator.
+  char* pos = row;
+  for (int v : {r.machine_id, r.hour, r.rack, r.sku, r.sc}) {
+    pos = std::to_chars(pos, last, v).ptr;
+    *pos++ = ',';
+  }
+  for (double v : {r.avg_running_containers, r.cpu_utilization,
+                   r.tasks_finished, r.data_read_mb, r.avg_task_latency_s,
+                   r.cpu_time_core_s, r.queued_containers, r.queue_latency_ms,
+                   r.rejected_containers, r.cores_used, r.ssd_used_gb,
+                   r.ram_used_gb, r.network_used_mbps, r.power_watts}) {
+    pos = std::to_chars(pos, last, v, std::chars_format::general, 17).ptr;
+    *pos++ = ',';
+  }
+  pos[-1] = '\n';
+  out->append(row, pos);
 }
 
 }  // namespace kea::telemetry

@@ -84,7 +84,12 @@ struct JobRecord {
 
 /// CSV header + row serialization for MachineHourRecord dumps.
 std::vector<std::string> MachineHourCsvHeader();
-std::vector<std::string> MachineHourCsvRow(const MachineHourRecord& r);
+
+/// Appends `r` as one CSV row, '\n' included, in MachineHourCsvHeader()'s
+/// column order: ints as std::to_string writes them, doubles as
+/// printf("%.17g") does in the C locale, which strtod reads back exactly.
+/// No cell needs quoting, so this is the row CsvWriter would write.
+void AppendMachineHourCsvRow(const MachineHourRecord& r, std::string* out);
 
 /// Wire layout for checkpoint blobs (fault-injector queues, quarantine
 /// contents); see common/snapshot.h.

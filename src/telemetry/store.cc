@@ -1,12 +1,23 @@
 #include "telemetry/store.h"
 
 #include <algorithm>
-
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/csv.h"
 
 namespace kea::telemetry {
+
+TelemetryStore& TelemetryStore::operator=(TelemetryStore&& other) noexcept {
+  if (this != &other) {
+    records_ = std::move(other.records_);
+    encoded_csv_ = std::move(other.encoded_csv_);
+    encoded_rows_ = other.encoded_rows_;
+    other.Clear();
+  }
+  return *this;
+}
 
 void TelemetryStore::AppendAll(const std::vector<MachineHourRecord>& records) {
   records_.insert(records_.end(), records.begin(), records.end());
@@ -85,22 +96,30 @@ StatusOr<TelemetryStore> TelemetryStore::FromCsv(const std::string& text) {
     return v;
   };
 
+  // Identity fields must be integers in int range: truncating "3.5" to 3
+  // would invent a machine, and casting "1e300" or "nan" to int is undefined.
+  auto integer = [](const std::string& cell) -> StatusOr<int> {
+    int v = 0;
+    const char* end = cell.data() + cell.size();
+    auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      return Status::InvalidArgument("identity field is not an int: '" +
+                                     cell + "'");
+    }
+    return v;
+  };
+
   TelemetryStore store;
   for (const auto& row : table.rows) {
     auto cell = [&](size_t i) -> const std::string& {
       return row[static_cast<size_t>(index[i])];
     };
     MachineHourRecord r;
-    KEA_ASSIGN_OR_RETURN(double machine_id, num(cell(0)));
-    KEA_ASSIGN_OR_RETURN(double hour, num(cell(1)));
-    KEA_ASSIGN_OR_RETURN(double rack, num(cell(2)));
-    KEA_ASSIGN_OR_RETURN(double sku, num(cell(3)));
-    KEA_ASSIGN_OR_RETURN(double sc, num(cell(4)));
-    r.machine_id = static_cast<int>(machine_id);
-    r.hour = static_cast<sim::HourIndex>(hour);
-    r.rack = static_cast<int>(rack);
-    r.sku = static_cast<sim::SkuId>(sku);
-    r.sc = static_cast<sim::ScId>(sc);
+    KEA_ASSIGN_OR_RETURN(r.machine_id, integer(cell(0)));
+    KEA_ASSIGN_OR_RETURN(r.hour, integer(cell(1)));
+    KEA_ASSIGN_OR_RETURN(r.rack, integer(cell(2)));
+    KEA_ASSIGN_OR_RETURN(r.sku, integer(cell(3)));
+    KEA_ASSIGN_OR_RETURN(r.sc, integer(cell(4)));
     KEA_ASSIGN_OR_RETURN(r.avg_running_containers, num(cell(5)));
     KEA_ASSIGN_OR_RETURN(r.cpu_utilization, num(cell(6)));
     KEA_ASSIGN_OR_RETURN(r.tasks_finished, num(cell(7)));
@@ -120,14 +139,30 @@ StatusOr<TelemetryStore> TelemetryStore::FromCsv(const std::string& text) {
   return store;
 }
 
-std::string TelemetryStore::ToCsv() const {
-  CsvWriter writer;
-  writer.SetHeader(MachineHourCsvHeader());
-  for (const auto& r : records_) {
-    // Row width always matches the header; ignore the status.
-    (void)writer.AppendRow(MachineHourCsvRow(r));
+void TelemetryStore::EncodeCsv(size_t from, std::string* out) const {
+  if (out->empty()) {
+    const std::vector<std::string> header = MachineHourCsvHeader();
+    for (const std::string& column : header) {
+      *out += column;
+      *out += ',';
+    }
+    out->back() = '\n';
   }
-  return writer.ToString();
+  for (size_t i = from; i < records_.size(); ++i) {
+    AppendMachineHourCsvRow(records_[i], out);
+  }
+}
+
+std::string TelemetryStore::ToCsv() const {
+  std::string out;
+  EncodeCsv(0, &out);
+  return out;
+}
+
+const std::string& TelemetryStore::EncodedCsv() {
+  EncodeCsv(encoded_rows_, &encoded_csv_);
+  encoded_rows_ = records_.size();
+  return encoded_csv_;
 }
 
 }  // namespace kea::telemetry

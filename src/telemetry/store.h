@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,6 +21,13 @@ using RecordFilter = std::function<bool(const MachineHourRecord&)>;
 /// it.
 class TelemetryStore {
  public:
+  TelemetryStore() = default;
+  TelemetryStore(const TelemetryStore&) = default;
+  TelemetryStore& operator=(const TelemetryStore&) = default;
+  /// A moved-from store is empty, its encoded CSV included.
+  TelemetryStore(TelemetryStore&& other) noexcept { *this = std::move(other); }
+  TelemetryStore& operator=(TelemetryStore&& other) noexcept;
+
   void Append(const MachineHourRecord& record) { records_.push_back(record); }
   void AppendAll(const std::vector<MachineHourRecord>& records);
 
@@ -44,15 +53,32 @@ class TelemetryStore {
   /// Serializes all records as CSV text (header + rows).
   std::string ToCsv() const;
 
+  /// The same bytes as ToCsv(), kept between calls: each call encodes only
+  /// the records appended since the previous one. Records are append-only
+  /// (Append, AppendAll and Clear are the only mutators), so the cached
+  /// prefix never goes stale; Clear() drops it.
+  const std::string& EncodedCsv();
+
   /// Parses a store from CSV produced by ToCsv (or an external trace with
-  /// the same header). Returns InvalidArgument on unknown columns or
-  /// unparsable numbers.
+  /// the same header). Returns InvalidArgument on unknown columns,
+  /// unparsable numbers, or identity fields (machine_id, hour, rack, sku,
+  /// sc) that are not integers in int range.
   static StatusOr<TelemetryStore> FromCsv(const std::string& text);
 
-  void Clear() { records_.clear(); }
+  void Clear() {
+    records_.clear();
+    encoded_csv_.clear();
+    encoded_rows_ = 0;
+  }
 
  private:
+  /// Appends rows [from, size()) to `out`, led by the header when `out` is
+  /// empty.
+  void EncodeCsv(size_t from, std::string* out) const;
+
   std::vector<MachineHourRecord> records_;
+  std::string encoded_csv_;  ///< ToCsv() of records_[0, encoded_rows_).
+  size_t encoded_rows_ = 0;
 };
 
 }  // namespace kea::telemetry

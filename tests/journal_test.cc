@@ -6,10 +6,12 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/crash_point.h"
+#include "common/random.h"
 #include "common/snapshot.h"
 #include "core/deployment_ledger.h"
 
@@ -208,6 +210,73 @@ TEST_F(JournalTest, AtomicWriteCrashLeavesOldFileIntact) {
   EXPECT_EQ(ReadAll(path), "new contents");
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+}
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition the table
+// driven Crc32Extend must reproduce.
+uint32_t BitwiseCrc32(const char* data, size_t size) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::string out(size, '\0');
+  for (char& c : out) c = static_cast<char>(gen() & 0xff);
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32(std::string("123456789")), 0xcbf43926u);
+  EXPECT_EQ(Crc32(std::string()), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::string bytes = RandomBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, len),
+                BitwiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::string mb = RandomBytes(1 << 20, 2);
+  EXPECT_EQ(Crc32(mb), BitwiseCrc32(mb.data(), mb.size()));
+}
+
+TEST(Crc32Test, ExtendChains) {
+  const std::string bytes = RandomBytes(200, 3);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const std::string a = bytes.substr(0, split);
+    const std::string b = bytes.substr(split);
+    EXPECT_EQ(Crc32Extend(Crc32(a), b), Crc32(bytes)) << "split " << split;
+  }
+}
+
+TEST(RngStateTest, RestoreAcceptsOnlyTextThatRoundTrips) {
+  Rng rng(7);
+  rng.Gaussian();  // Leaves a cached spare Gaussian in the state.
+  const std::string state = rng.SerializeState();
+  Rng twin(1);
+  ASSERT_TRUE(twin.RestoreState(state).ok());
+  EXPECT_EQ(twin.SerializeState(), state);
+  EXPECT_EQ(twin.Gaussian(), rng.Gaussian());
+
+  const std::string before = twin.SerializeState();
+  const size_t first_line = state.find('\n') + 1;
+  const std::string spaced =
+      state.substr(0, first_line) + " " + state.substr(first_line);
+  for (const std::string& bad :
+       {state + "x", state + " ", " " + state, spaced,
+        state.substr(0, state.size() - 1)}) {
+    EXPECT_EQ(twin.RestoreState(bad).code(), StatusCode::kInvalidArgument)
+        << "'" << bad.substr(0, 40) << "...'";
+    EXPECT_EQ(twin.SerializeState(), before);  // A refused restore changes nothing.
+  }
 }
 
 TEST(SnapshotTest, RoundTripsSections) {

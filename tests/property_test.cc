@@ -268,6 +268,36 @@ TEST_P(TelemetryCsvPropertyTest, TruncationAtAnyOffsetNeverFabricates) {
 INSTANTIATE_TEST_SUITE_P(SeedGrid, TelemetryCsvPropertyTest,
                          ::testing::Values(1u, 7u, 1234u));
 
+// Replaces cell `column` of the first data row of `csv`.
+std::string WithCell(const std::string& csv, size_t column,
+                     const std::string& value) {
+  size_t begin = csv.find('\n') + 1;
+  for (size_t i = 0; i < column; ++i) begin = csv.find(',', begin) + 1;
+  const size_t end = csv.find_first_of(",\n", begin);
+  return csv.substr(0, begin) + value + csv.substr(end);
+}
+
+TEST(TelemetryCsvIdentityTest, IdentityFieldsMustBeIntsInRange) {
+  TelemetryStore store = RandomStore(5, 2);
+  const std::string csv = store.ToCsv();
+  // machine_id, hour, rack, sku, sc lead the header.
+  for (size_t column = 0; column < 5; ++column) {
+    for (const char* bad : {"3.5", "-0.5", "1e300", "-1e300", "nan", "inf",
+                            "1e3", "2147483648", "-2147483649", "0x10", ""}) {
+      auto parsed = TelemetryStore::FromCsv(WithCell(csv, column, bad));
+      ASSERT_FALSE(parsed.ok()) << "column " << column << " value '" << bad << "'";
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    }
+    // The whole int range is accepted and re-encodes to its input.
+    for (const char* good : {"2147483647", "-2147483648", "0", "-3"}) {
+      const std::string text = WithCell(csv, column, good);
+      auto parsed = TelemetryStore::FromCsv(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status();
+      EXPECT_EQ(parsed->ToCsv(), text);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kea::telemetry
 

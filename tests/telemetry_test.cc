@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <climits>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "telemetry/perf_monitor.h"
@@ -42,7 +48,12 @@ TEST(RecordTest, DerivedMetrics) {
 
 TEST(RecordTest, CsvRowMatchesHeaderWidth) {
   MachineHourRecord r = MakeRecord(3, 7, 1, 2, 5.0, 0.5, 100.0, 5000.0, 20.0);
-  EXPECT_EQ(MachineHourCsvRow(r).size(), MachineHourCsvHeader().size());
+  std::string row;
+  AppendMachineHourCsvRow(r, &row);
+  ASSERT_FALSE(row.empty());
+  EXPECT_EQ(row.back(), '\n');
+  EXPECT_EQ(static_cast<size_t>(std::count(row.begin(), row.end(), ',')) + 1,
+            MachineHourCsvHeader().size());
 }
 
 TEST(StoreTest, AppendAndQuery) {
@@ -98,6 +109,130 @@ TEST(StoreTest, CsvRoundTrip) {
   int col = parsed->ColumnIndex("cpu_utilization");
   ASSERT_GE(col, 0);
   EXPECT_NEAR(std::stod(parsed->rows[0][static_cast<size_t>(col)]), 0.5, 1e-9);
+}
+
+// The CSV the store wrote before it had its own encoder: CsvWriter cells
+// from std::to_string and snprintf("%.17g"). Checkpoints hold these bytes.
+std::string ReferenceCsv(const std::vector<MachineHourRecord>& records) {
+  auto d = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  CsvWriter writer;
+  writer.SetHeader(MachineHourCsvHeader());
+  for (const MachineHourRecord& r : records) {
+    EXPECT_TRUE(writer
+                    .AppendRow({std::to_string(r.machine_id), std::to_string(r.hour),
+                                std::to_string(r.rack), std::to_string(r.sku),
+                                std::to_string(r.sc), d(r.avg_running_containers),
+                                d(r.cpu_utilization), d(r.tasks_finished),
+                                d(r.data_read_mb), d(r.avg_task_latency_s),
+                                d(r.cpu_time_core_s), d(r.queued_containers),
+                                d(r.queue_latency_ms), d(r.rejected_containers),
+                                d(r.cores_used), d(r.ssd_used_gb), d(r.ram_used_gb),
+                                d(r.network_used_mbps), d(r.power_watts)})
+                    .ok());
+  }
+  return writer.ToString();
+}
+
+TEST(StoreTest, EncoderMatchesPrintfOnEdgeValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double two53 = 9007199254740992.0;
+  const std::vector<double> doubles = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0),  // Largest denormal.
+      DBL_MIN, DBL_MAX, -DBL_MAX, 1e-300, -1e-300,
+      two53 - 1, two53, two53 + 2, -two53, 1e16, 1e17, 1e22, 1e21,
+      0.1, 1.0 / 3.0, 123456789012345678.0, 1e-5, 1e-4, 0.5, -2.5, 280.5};
+  const std::vector<int> ints = {0, 1, -1, -7, 42, -100000, INT_MAX, INT_MIN};
+  std::vector<MachineHourRecord> records;
+  for (size_t i = 0; i < doubles.size() + ints.size(); ++i) {
+    MachineHourRecord r;
+    const int v = ints[i % ints.size()];
+    r.machine_id = v;
+    r.hour = -v / 2;
+    r.rack = ints[(i + 1) % ints.size()];
+    r.sku = ints[(i + 2) % ints.size()];
+    r.sc = ints[(i + 3) % ints.size()];
+    // Each edge value visits every double column across the records.
+    double* fields[] = {&r.avg_running_containers, &r.cpu_utilization,
+                        &r.tasks_finished,         &r.data_read_mb,
+                        &r.avg_task_latency_s,     &r.cpu_time_core_s,
+                        &r.queued_containers,      &r.queue_latency_ms,
+                        &r.rejected_containers,    &r.cores_used,
+                        &r.ssd_used_gb,            &r.ram_used_gb,
+                        &r.network_used_mbps,      &r.power_watts};
+    for (size_t f = 0; f < std::size(fields); ++f) {
+      *fields[f] = doubles[(i + f) % doubles.size()];
+    }
+    records.push_back(r);
+  }
+  TelemetryStore store;
+  store.AppendAll(records);
+  const std::string expected = ReferenceCsv(records);
+  EXPECT_EQ(store.ToCsv(), expected);
+  EXPECT_EQ(store.EncodedCsv(), expected);
+  EXPECT_EQ(TelemetryStore().ToCsv(), ReferenceCsv({}));
+}
+
+TEST(StoreTest, EncodedCsvEqualsToCsvAfterEveryMutation) {
+  std::vector<MachineHourRecord> pool;
+  for (int i = 0; i < 40; ++i) {
+    pool.push_back(MakeRecord(i, i / 4, i % 3, i % 2, 5 + i, 0.01 * i,
+                              100 + i, 5000.5 * i, 20.0 / (i + 1)));
+  }
+  TelemetryStore store;
+  EXPECT_EQ(store.EncodedCsv(), store.ToCsv());  // Header only.
+  EXPECT_EQ(store.EncodedCsv(), ReferenceCsv({}));
+
+  // Batches of varying size through both Append and AppendAll.
+  size_t next = 0;
+  for (size_t batch : {1u, 3u, 0u, 7u, 2u}) {
+    if (batch % 2 == 1) {
+      for (size_t i = 0; i < batch; ++i) store.Append(pool[next++]);
+    } else {
+      store.AppendAll({pool.begin() + next, pool.begin() + next + batch});
+      next += batch;
+    }
+    EXPECT_EQ(store.EncodedCsv(), store.ToCsv()) << "after " << next;
+  }
+  EXPECT_EQ(store.EncodedCsv(), ReferenceCsv({pool.begin(), pool.begin() + next}));
+
+  // A copy taken while the cache lags behind the records carries a cache
+  // that matches its own records.
+  store.Append(pool[next++]);
+  TelemetryStore copy = store;
+  copy.Append(pool[next++]);
+  EXPECT_EQ(copy.EncodedCsv(), copy.ToCsv());
+  EXPECT_EQ(store.EncodedCsv(), store.ToCsv());
+  EXPECT_LT(store.size(), copy.size());
+
+  // Assigning a shorter store over a longer, fully cached one.
+  TelemetryStore shorter;
+  shorter.Append(pool[0]);
+  copy = shorter;
+  EXPECT_EQ(copy.EncodedCsv(), copy.ToCsv());
+  copy.AppendAll({pool.begin() + 30, pool.end()});
+  EXPECT_EQ(copy.EncodedCsv(), copy.ToCsv());
+
+  // Clear() drops the cache; re-appending encodes from the header again.
+  store.Clear();
+  EXPECT_EQ(store.EncodedCsv(), ReferenceCsv({}));
+  store.AppendAll({pool.begin() + 5, pool.begin() + 9});
+  EXPECT_EQ(store.EncodedCsv(), store.ToCsv());
+  EXPECT_EQ(store.EncodedCsv(), ReferenceCsv({pool.begin() + 5, pool.begin() + 9}));
+
+  // A moved-from store is empty, cache included, and usable again.
+  TelemetryStore moved = std::move(store);
+  EXPECT_EQ(moved.EncodedCsv(), moved.ToCsv());
+  store.Append(pool[1]);
+  EXPECT_EQ(store.EncodedCsv(), store.ToCsv());
+  EXPECT_EQ(store.EncodedCsv(), ReferenceCsv({pool[1]}));
 }
 
 TEST(PerfMonitorTest, GroupMetricsMath) {
