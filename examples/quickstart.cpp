@@ -10,6 +10,8 @@
 //
 // Set KEA_TRACE=/path/to/trace.json to record a hierarchical span trace of
 // the run; open the file in https://ui.perfetto.dev or chrome://tracing.
+// The same spans' self time, as collapsed stacks ("path;leaf self_ns"), is
+// written to /path/to/trace.json.folded for flamegraph.pl or speedscope.
 
 #include <cstdio>
 #include <string>

@@ -12,7 +12,6 @@
 #include "ml/model_selection.h"
 #include "ml/stats.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace kea::core {
@@ -110,7 +109,6 @@ StatusOr<WhatIfEngine> WhatIfEngine::Fit(const telemetry::TelemetryStore& store,
   KEA_TRACE_SPAN("whatif.fit",
                  {{"groups", std::to_string(grouped.size())},
                   {"records", std::to_string(store.size())}});
-  KEA_PHASE("whatif.fit");
   FitsCounter()->Increment();
 
   // Groups are independent (one g/h/f triple per SC-SKU combination), so the

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/trace.h"
+
 namespace kea::obs {
 
 #ifndef KEA_OBS_DISABLED
@@ -25,19 +27,14 @@ void DisableMetrics() {
 }
 #endif
 
-// Defined in trace.cc; forward-declared here so Disable()/Enable() can flip
-// both halves without metrics.h depending on trace.h.
-void DisableTracingInternal();
-void ResetTracingToDefault();
-
 void Disable() {
   DisableMetrics();
-  DisableTracingInternal();
+  DisableTracing();
 }
 
 void Enable() {
   EnableMetrics();
-  ResetTracingToDefault();
+  DisableTracing();
 }
 
 // ---------------------------------------------------------------------------

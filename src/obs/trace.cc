@@ -9,7 +9,6 @@
 #include <map>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 
 namespace kea::obs {
 
@@ -26,10 +25,6 @@ void DisableTracing() {
   g_trace_enabled.store(false, std::memory_order_relaxed);
 }
 #endif
-
-// Hooks for metrics.cc's Disable()/Enable() combo switches.
-void DisableTracingInternal() { DisableTracing(); }
-void ResetTracingToDefault() { DisableTracing(); }
 
 // ---------------------------------------------------------------------------
 // Per-thread state. The buffer is shared_ptr'd from the tracer's registry so
@@ -281,37 +276,62 @@ bool Tracer::WriteChromeTraceFile(const std::string& path,
 // ---------------------------------------------------------------------------
 // Self-time aggregation
 
-std::vector<SelfTimeRow> ComputeSelfTimes(
-    const std::vector<TraceEvent>& events) {
+namespace {
+
+struct SpanAgg {
+  uint64_t count = 0;
+  uint64_t total_ns = 0;
+  uint64_t self_ns = 0;
+};
+
+// The one self-time computation. Replays each thread's B/E stream on a
+// stack; a closed span's self time is its duration minus its same-thread
+// children's. Charges that to the span's name (`by_name`) and, when asked,
+// to its same-thread path "root;...;leaf" (`by_path`). Ends that do not
+// match the open span, and spans still open, are skipped.
+void WalkSpans(const std::vector<TraceEvent>& events,
+               std::map<std::string, SpanAgg>* by_name,
+               std::map<std::string, uint64_t>* by_path) {
   struct Frame {
-    std::string name;
+    const std::string* name;
+    std::string path;  // filled only when by_path is requested
     uint64_t span_id;
     uint64_t begin_ns;
     uint64_t child_ns = 0;
   };
-  struct Agg {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-    uint64_t self_ns = 0;
-  };
   std::map<uint32_t, std::vector<Frame>> stacks;
-  std::map<std::string, Agg> aggs;
   for (const TraceEvent& ev : events) {
     auto& stack = stacks[ev.tid];
     if (ev.phase == TraceEvent::Phase::kBegin) {
-      stack.push_back({ev.name, ev.span_id, ev.ts_ns});
-    } else {
-      if (stack.empty() || stack.back().span_id != ev.span_id) continue;
-      Frame frame = stack.back();
-      stack.pop_back();
-      const uint64_t dur = ev.ts_ns - frame.begin_ns;
-      Agg& a = aggs[frame.name];
+      std::string path;
+      if (by_path != nullptr) {
+        path = stack.empty() ? ev.name : stack.back().path + ";" + ev.name;
+      }
+      stack.push_back({&ev.name, std::move(path), ev.span_id, ev.ts_ns});
+      continue;
+    }
+    if (stack.empty() || stack.back().span_id != ev.span_id) continue;
+    Frame frame = std::move(stack.back());
+    stack.pop_back();
+    const uint64_t dur = ev.ts_ns - frame.begin_ns;
+    const uint64_t self = dur > frame.child_ns ? dur - frame.child_ns : 0;
+    if (!stack.empty()) stack.back().child_ns += dur;
+    if (by_name != nullptr) {
+      SpanAgg& a = (*by_name)[*frame.name];
       a.count += 1;
       a.total_ns += dur;
-      a.self_ns += dur > frame.child_ns ? dur - frame.child_ns : 0;
-      if (!stack.empty()) stack.back().child_ns += dur;
+      a.self_ns += self;
     }
+    if (by_path != nullptr) (*by_path)[frame.path] += self;
   }
+}
+
+}  // namespace
+
+std::vector<SelfTimeRow> ComputeSelfTimes(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::string, SpanAgg> aggs;
+  WalkSpans(events, &aggs, nullptr);
   std::vector<SelfTimeRow> rows;
   rows.reserve(aggs.size());
   for (const auto& [name, a] : aggs) {
@@ -327,6 +347,16 @@ std::vector<SelfTimeRow> ComputeSelfTimes(
                                     : a.name < b.name;
   });
   return rows;
+}
+
+std::string ExportFoldedStacks(const std::vector<TraceEvent>& events) {
+  std::map<std::string, uint64_t> paths;  // sorted by path, threads merged
+  WalkSpans(events, nullptr, &paths);
+  std::string out;
+  for (const auto& [path, self_ns] : paths) {
+    out += path + " " + std::to_string(self_ns) + "\n";
+  }
+  return out;
 }
 
 std::string Tracer::SelfTimeSummary() const {
@@ -404,8 +434,15 @@ class JsonParser {
     SkipWs();
     if (pos_ >= text_.size()) return Fail("unexpected end");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      // Containers recurse; bound the depth so hostile input gets an error
+      // instead of a stack overflow. Our exports nest 4 deep.
+      if (depth_ >= kMaxDepth) return Fail("nesting too deep");
+      ++depth_;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->type = JsonValue::kString;
       return ParseString(&out->str);
@@ -541,8 +578,11 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
@@ -676,10 +716,13 @@ bool WriteTraceFromEnv(std::string* path_out, std::string* error) {
   if (path == nullptr || path[0] == '\0') return true;
   if (path_out) *path_out = path;
   if (!Tracer::Get().WriteChromeTraceFile(path, error)) return false;
-  // The phase profile rides along next to the Chrome trace: feed the
+  // The collapsed stacks ride along next to the Chrome trace: feed the
   // .folded file to flamegraph.pl or speedscope.
   const std::string folded = std::string(path) + ".folded";
-  if (!PhaseProfiler::Get().WriteCollapsedFile(folded)) {
+  std::ofstream f(folded, std::ios::binary | std::ios::trunc);
+  f << ExportFoldedStacks(Tracer::Get().Events());
+  f.flush();
+  if (!f.good()) {
     if (error) *error = "cannot write " + folded;
     return false;
   }

@@ -194,15 +194,21 @@ TraceValidation ValidateChromeTrace(const std::string& json);
 /// tracing and returns true. Call once at tool startup.
 bool EnableTracingFromEnv();
 
-/// When KEA_TRACE is set, writes the collected trace there, plus the phase
-/// profiler's flamegraph-ready collapsed stacks to "<path>.folded" (feed to
-/// flamegraph.pl / speedscope). Returns false (with *error) on write
+/// When KEA_TRACE is set, writes the collected trace there, plus its
+/// flamegraph-ready collapsed stacks (ExportFoldedStacks) to "<path>.folded"
+/// (feed to flamegraph.pl / speedscope). Returns false (with *error) on write
 /// failure, true otherwise (including "not set").
 bool WriteTraceFromEnv(std::string* path_out = nullptr,
                        std::string* error = nullptr);
 
 /// Aggregates self-times from an event stream (exposed for tests).
 std::vector<SelfTimeRow> ComputeSelfTimes(const std::vector<TraceEvent>& events);
+
+/// Collapsed-stack ("folded") export of the same self-times: one
+/// "path;leaf <self_ns>" line per distinct same-thread span path, merged
+/// across threads, sorted by path. Summed per leaf name, the self_ns equal
+/// ComputeSelfTimes' self_us * 1000.
+std::string ExportFoldedStacks(const std::vector<TraceEvent>& events);
 
 }  // namespace kea::obs
 

@@ -4,8 +4,8 @@
 #include <cstdio>
 
 #include "common/random.h"
-#include "obs/profiler.h"
 #include "obs/shard.h"
+#include "obs/trace.h"
 
 namespace kea::serve {
 
@@ -117,7 +117,7 @@ TuningService::~TuningService() {
 
 void TuningService::RunOne(RequestQueue* queue, int tenant_id,
                            const std::function<bool()>& work) {
-  KEA_PHASE("serve.dispatch");
+  KEA_TRACE_SPAN("serve.dispatch");
   const bool executed = work();
   queue->Done(tenant_id, executed);
 }
@@ -821,14 +821,6 @@ std::string TuningService::Statusz() const {
                 "obs_shards: slots=%zu live_threads=%zu epochs=%llu\n",
                 shards.slot_count(), shards.live_shard_count(),
                 static_cast<unsigned long long>(shards.epochs()));
-  out += line;
-  // Scope count only: the calibrated per-scope cost is a wall-clock
-  // measurement (SelfOverheadSummary / the collapsed-stack trailer carry
-  // it), and statusz must stay run-twice diffable for a fixed driver
-  // schedule.
-  std::snprintf(line, sizeof(line), "profiler: scopes=%llu\n",
-                static_cast<unsigned long long>(
-                    obs::PhaseProfiler::Get().scope_count()));
   out += line;
   // Durability panel: the self-healing storage plane's global tallies
   // (retries absorbed, scrub salvages, generation fallbacks, degraded-mode

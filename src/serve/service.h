@@ -253,7 +253,7 @@ class TuningService {
   double slo_slow_burn() const;
   /// Human-readable operational snapshot: rung, per-tenant breaker states,
   /// SLO burn, sojourn percentiles, cache hit ratio, queue depth/counters,
-  /// shard-registry epochs, and profiler self-overhead. Safe to call any
+  /// shard-registry epochs, and durability tallies. Safe to call any
   /// time; renders from the same instruments the Prometheus surface exports.
   std::string Statusz() const;
   /// The ordered overload decision log: one line per admission-time decision

@@ -1,9 +1,9 @@
-// kea::obs v2 percentile/SLO/profiler layer (ISSUE 9): histogram Quantile()
-// accuracy against exact sample quantiles on uniform, lognormal and
-// point-mass inputs (relative error bounded by the bucket growth factor),
-// the SloTracker's multiwindow burn-rate semantics on a virtual clock, the
-// phase profiler's attribution and self-overhead accounting, and the
-// Prometheus text exposition.
+// kea::obs v2 percentile/SLO layer and the span-derived collapsed-stack
+// export: histogram Quantile() accuracy against exact sample quantiles on
+// uniform, lognormal and point-mass inputs (relative error bounded by the
+// bucket growth factor), the SloTracker's multiwindow burn-rate semantics on
+// a virtual clock, the folded export's path attribution and its agreement
+// with ComputeSelfTimes, and the Prometheus text exposition.
 
 #include "obs/slo.h"
 
@@ -11,13 +11,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "core/whatif.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/trace.h"
+#include "sim/fluid_engine.h"
 
 namespace kea::obs {
 namespace {
@@ -30,8 +36,7 @@ class ObsSloTest : public ::testing::Test {
 #endif
     Enable();
     Registry::Get().ResetForTest();
-    PhaseProfiler::Get().ResetForTest();
-    PhaseProfiler::Get().SetEnabled(true);
+    Tracer::Get().Clear();
   }
   void TearDown() override { Enable(); }
 };
@@ -201,55 +206,109 @@ TEST_F(ObsSloTest, TrackerIsDeterministicAndClampsTimeRegressions) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase profiler
+// Collapsed-stack export
 
-TEST_F(ObsSloTest, ProfilerAttributesNestedPhases) {
-  PhaseProfiler& prof = PhaseProfiler::Get();
-  const uint64_t scopes_before = prof.scope_count();
+/// Parses ExportFoldedStacks output into path -> self_ns.
+std::map<std::string, uint64_t> ParseFolded(const std::string& folded) {
+  std::map<std::string, uint64_t> out;
+  std::istringstream lines(folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const size_t sp = line.rfind(' ');
+    EXPECT_NE(sp, std::string::npos) << line;
+    if (sp == std::string::npos) continue;
+    EXPECT_EQ(out.count(line.substr(0, sp)), 0u) << "duplicate path: " << line;
+    out[line.substr(0, sp)] = std::strtoull(line.c_str() + sp + 1, nullptr, 10);
+  }
+  return out;
+}
+
+std::string Leaf(const std::string& path) {
+  const size_t semi = path.rfind(';');
+  return semi == std::string::npos ? path : path.substr(semi + 1);
+}
+
+TEST_F(ObsSloTest, FoldedExportAttributesNestedSpans) {
+  EnableTracing();
   {
-    KEA_PHASE("outer");
+    KEA_TRACE_SPAN("outer");
     {
-      KEA_PHASE("inner");
+      KEA_TRACE_SPAN("inner");
       volatile double sink = 0;
       for (int i = 0; i < 1000; ++i) sink = sink + i;
     }
-    { KEA_PHASE("inner"); }
+    { KEA_TRACE_SPAN("inner"); }
   }
-  EXPECT_EQ(prof.scope_count(), scopes_before + 3);
+  DisableTracing();
 
-  const std::string folded = prof.CollapsedStack();
-  // Collapsed-stack lines: "outer <self>" and "outer;inner <self>".
-  EXPECT_NE(folded.find("outer "), std::string::npos) << folded;
-  EXPECT_NE(folded.find("outer;inner "), std::string::npos) << folded;
-  // No orphan "inner" line at the root.
-  EXPECT_EQ(folded.find("\ninner"), std::string::npos) << folded;
-
-  const std::string summary = prof.SelfOverheadSummary();
-  EXPECT_NE(summary.find("scopes=3"), std::string::npos) << summary;
-  EXPECT_GT(prof.calibrated_scope_cost_ns(), 0.0);
+  const std::map<std::string, uint64_t> paths =
+      ParseFolded(ExportFoldedStacks(Tracer::Get().Events()));
+  // "outer <self>" and "outer;inner <self>" (both inner scopes merged), and
+  // no orphan "inner" line at the root.
+  EXPECT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths.count("outer"), 1u);
+  EXPECT_EQ(paths.count("outer;inner"), 1u);
+  EXPECT_EQ(paths.count("inner"), 0u);
 }
 
-TEST_F(ObsSloTest, ProfilerMergesThreadsAndDisablesCleanly) {
-  PhaseProfiler& prof = PhaseProfiler::Get();
-  {
-    KEA_PHASE("work");
-  }
-  std::thread t([] {
-    KEA_PHASE("work");
-  });
+TEST_F(ObsSloTest, FoldedExportMergesThreadsAndRecordsNothingWhenOff) {
+  EnableTracing();
+  { KEA_TRACE_SPAN("work"); }
+  std::thread t([] { KEA_TRACE_SPAN("work"); });
   t.join();
+  DisableTracing();
   // Two threads, one path: merged into a single "work <ns>" line.
-  const std::string folded = prof.CollapsedStack();
-  const size_t first = folded.find("work ");
-  ASSERT_NE(first, std::string::npos) << folded;
-  EXPECT_EQ(folded.find("work ", first + 1), std::string::npos) << folded;
+  const std::string folded = ExportFoldedStacks(Tracer::Get().Events());
+  EXPECT_EQ(ParseFolded(folded).size(), 1u) << folded;
+  EXPECT_EQ(folded.rfind("work ", 0), 0u) << folded;
 
-  prof.SetEnabled(false);
-  const uint64_t scopes = prof.scope_count();
-  { KEA_PHASE("ignored"); }
-  EXPECT_EQ(prof.scope_count(), scopes);
-  EXPECT_EQ(prof.CollapsedStack().find("ignored"), std::string::npos);
-  prof.SetEnabled(true);
+  // Tracing off: the scope records nothing.
+  const size_t events = Tracer::Get().event_count();
+  { KEA_TRACE_SPAN("ignored"); }
+  EXPECT_EQ(Tracer::Get().event_count(), events);
+  EXPECT_EQ(ExportFoldedStacks(Tracer::Get().Events()).find("ignored"),
+            std::string::npos);
+}
+
+TEST_F(ObsSloTest, FoldedExportAgreesWithSelfTimesOnParallelFit) {
+  sim::PerfModel model = sim::PerfModel::CreateDefault();
+  sim::WorkloadModel workload = sim::WorkloadModel::CreateDefault();
+  sim::ClusterSpec spec = sim::ClusterSpec::Default();
+  spec.total_machines = 240;
+  auto cluster = sim::Cluster::Build(model.catalog(), spec);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  telemetry::TelemetryStore store;
+  sim::FluidEngine engine(&model, &cluster.value(), &workload,
+                          sim::FluidEngine::Options());
+  ASSERT_TRUE(engine.Run(0, 48, &store).ok());
+
+  core::WhatIfEngine::Options options;
+  options.num_threads = 4;
+  EnableTracing();
+  auto fit = core::WhatIfEngine::Fit(store, nullptr, options);
+  DisableTracing();
+  ASSERT_TRUE(fit.ok()) << fit.status();
+
+  const std::vector<TraceEvent> events = Tracer::Get().Events();
+  std::set<std::string> span_names;
+  for (const TraceEvent& ev : events) span_names.insert(ev.name);
+  std::map<std::string, uint64_t> self_ns_by_leaf;
+  for (const auto& [path, self_ns] : ParseFolded(ExportFoldedStacks(events))) {
+    self_ns_by_leaf[Leaf(path)] += self_ns;
+  }
+  std::set<std::string> leaves;
+  for (const auto& [leaf, self_ns] : self_ns_by_leaf) leaves.insert(leaf);
+  EXPECT_EQ(leaves, span_names);
+  EXPECT_GT(span_names.count("whatif.fit"), 0u);
+  EXPECT_GT(span_names.count("whatif.fit_group"), 0u);
+
+  const std::vector<SelfTimeRow> rows = ComputeSelfTimes(events);
+  EXPECT_EQ(rows.size(), span_names.size());
+  for (const SelfTimeRow& row : rows) {
+    EXPECT_NEAR(static_cast<double>(self_ns_by_leaf[row.name]),
+                row.self_us * 1000.0, 1.0)
+        << row.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

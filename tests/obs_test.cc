@@ -484,6 +484,13 @@ TEST_F(ObsTest, TraceValidatorRejectsMalformedStreams) {
   EXPECT_EQ(v.max_depth, 2u);
 }
 
+TEST_F(ObsTest, TraceValidatorRejectsDeepNestingWithoutRecursingAway) {
+  // An unbounded recursive descent would overflow the stack here.
+  const TraceValidation v = ValidateChromeTrace(std::string(200000, '['));
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("nesting too deep"), std::string::npos) << v.error;
+}
+
 TEST_F(ObsTest, SelfTimeExcludesSameThreadChildren) {
   auto ev = [](TraceEvent::Phase ph, const char* name, uint64_t span,
                uint64_t parent, uint64_t ts_ns) {
