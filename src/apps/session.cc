@@ -38,9 +38,9 @@ obs::Counter* RoundsCounter() {
 // (0=off, 1=durable, 2=degraded); kTiming keeps mode flips out of the
 // deterministic export. The entry/restore counters are deterministic — they
 // only move when storage actually fails (injected or real).
-obs::Gauge* DurabilityModeGauge() {
+void PublishMode(KeaSession::DurabilityMode mode) {
   static obs::Gauge* g = obs::Registry::Get().GetGauge("durability.mode");
-  return g;
+  g->Set(static_cast<double>(mode));
 }
 obs::Counter* DegradedEntriesCounter() {
   static obs::Counter* c =
@@ -53,10 +53,13 @@ obs::Counter* DegradedRestoresCounter() {
   return c;
 }
 
-Status DegradedRefusal(const Status& reason) {
-  return Status::FailedPrecondition(
-      "degraded durability: deployments refused until the storage plane "
-      "heals (" + reason.message() + "); call TryRestoreDurability");
+std::string RoundKey(int64_t n) { return "round/" + std::to_string(n); }
+std::string FabricKey(int64_t n) { return "fab/" + std::to_string(n); }
+
+const Status& StatusOf(const Status& status) { return status; }
+template <class T>
+const Status& StatusOf(const StatusOr<T>& result) {
+  return result.status();
 }
 
 /// The plan-sanity screen of guarded rounds: a corrupted model never reaches
@@ -117,7 +120,6 @@ Status KeaSession::Simulate(int hours) {
   if (hours > 0) SimulateHoursCounter()->Increment(static_cast<uint64_t>(hours));
   if (ingestion_ == nullptr) {
     KEA_RETURN_IF_ERROR(engine_->Run(now_, hours, &store_));
-    now_ += hours;
   } else {
     // Hardened path: engine -> (fault injector) -> ingestion pipeline -> store.
     telemetry::TelemetryStore scratch;
@@ -128,8 +130,8 @@ Status KeaSession::Simulate(int hours) {
     } else {
       KEA_RETURN_IF_ERROR(ingestion_->Ingest(scratch.records()));
     }
-    now_ += hours;
   }
+  now_ += hours;
   // Drift monitoring: fold the new telemetry into the detector's streams and
   // route any alarms into the ModelHealth breaker. Read-only on the store —
   // a clean stream leaves the session's behavior untouched.
@@ -150,25 +152,16 @@ Status KeaSession::Simulate(int hours) {
     }
   }
   // Durable sessions checkpoint after every simulate so a crash between
-  // control-plane actions loses no telemetry. Inside a journaled round the
-  // per-step checkpoints (which also cover the step's ledger event) own this.
-  if (ledger_ != nullptr && !in_journaled_round_) {
-    if (durability_mode_ == DurabilityMode::kDegraded) {
-      // Auto-probe: a healed disk re-checkpoints here (covering this call's
-      // telemetry); a still-broken one keeps the session degraded. Either
-      // way the simulation itself succeeded.
-      (void)TryRestoreDurability();
-    } else {
-      Status written = WriteCheckpoint(ledger_->next_seq());
-      if (!written.ok()) {
-        // Injected crashes (kAborted) and logic errors propagate; a storage
-        // plane failure degrades the session instead of losing the tick.
-        if (!IsStorageFailure(written)) return written;
-        EnterDegradedMode(written);
-      }
-    }
+  // control-plane actions loses no telemetry. Inside a journaled run the
+  // per-step checkpoints own this.
+  if (durability_mode() == DurabilityMode::kDegraded) {
+    // Auto-probe: a healed disk re-checkpoints here (covering this call's
+    // telemetry); a still-broken one keeps the session degraded. Either way
+    // the simulation itself succeeded.
+    (void)TryRestoreDurability();
+    return Status::OK();
   }
-  return Status::OK();
+  return Persist();
 }
 
 Status KeaSession::EnableIngestionPipeline(const IngestionConfig& config) {
@@ -228,15 +221,15 @@ Status KeaSession::EnableDurability(const DurabilityOptions& options) {
   deployment_.AttachLedger(ledger_.get());
   // The initial checkpoint covers whatever the (possibly pre-existing) ledger
   // holds, so Resume() of a never-crashed directory is a clean no-op restore.
-  Status written = WriteCheckpoint(ledger_->next_seq());
+  durable_seq_ = ledger_->next_seq();
+  Status written = WriteCheckpoint();
   if (!written.ok()) {
     deployment_.AttachLedger(nullptr);
     ledger_.reset();
     durability_dir_.clear();
     return written;
   }
-  durability_mode_ = DurabilityMode::kDurable;
-  DurabilityModeGauge()->Set(1);
+  PublishMode(durability_mode());
   return Status::OK();
 }
 
@@ -245,66 +238,142 @@ Status KeaSession::Checkpoint() {
     return Status::FailedPrecondition(
         "EnableDurability must be called before Checkpoint");
   }
-  if (durability_mode_ == DurabilityMode::kDegraded) {
-    return Status::FailedPrecondition(
-        "degraded durability (" + degraded_reason_.message() +
-        "); call TryRestoreDurability before checkpointing");
-  }
-  return WriteCheckpoint(ledger_->next_seq());
+  // A checkpoint changes no machine: it passes the gate as the driver of
+  // any interrupted run, so only degraded mode refuses it.
+  return Gated(InterruptedRun(), [&] { return WriteCheckpoint(); });
 }
 
 void KeaSession::EnterDegradedMode(const Status& reason) {
-  if (durability_mode_ == DurabilityMode::kDegraded) return;
-  durability_mode_ = DurabilityMode::kDegraded;
+  if (!degraded_reason_.ok()) return;
   degraded_reason_ = reason;
   DegradedEntriesCounter()->Increment();
-  DurabilityModeGauge()->Set(2);
+  PublishMode(durability_mode());
 }
 
 Status KeaSession::TryRestoreDurability() {
-  if (durability_mode_ != DurabilityMode::kDegraded) {
+  if (durability_mode() != DurabilityMode::kDegraded) {
     return Status::FailedPrecondition(
         "session is not in degraded-durability mode");
   }
   // In-memory progress is the authority: every event this session
   // acknowledged reached the in-memory ledger, so the rebuilt plane must
-  // cover at least that much — a disk that lost acknowledged events is
+  // hold at least that much — a disk that lost acknowledged events is
   // refused rather than silently rewound (never fabricate state).
-  const uint64_t covered = ledger_->next_seq();
+  const uint64_t acknowledged = ledger_->next_seq();
   StatusOr<std::unique_ptr<core::DeploymentLedger>> reopened =
       core::DeploymentLedger::Open(durability_dir_ + kLedgerFile);
   if (!reopened.ok()) return reopened.status();
-  if (reopened.value()->next_seq() < covered) {
+  if (reopened.value()->next_seq() < acknowledged) {
     return Status::Internal(
         "ledger on disk holds " +
         std::to_string(reopened.value()->next_seq()) +
-        " events but the session acknowledged " + std::to_string(covered) +
+        " events but the session acknowledged " +
+        std::to_string(acknowledged) +
         " — refusing to restore a plane that lost acknowledged events");
   }
   // Orphan disk events (appends that persisted but were reported failed)
-  // have seq >= covered, so the checkpoint below leaves them in the
+  // lie at or above durable_seq_, so the checkpoint below leaves them in the
   // re-drive region: the next round replays their recorded payloads with
   // the idempotency keys guaranteeing exactly-once effects.
   ledger_ = std::move(reopened).value();
   deployment_.AttachLedger(ledger_.get());
-  Status written = WriteCheckpoint(covered);
+  Status written = WriteCheckpoint();
   if (!written.ok()) {
     if (IsStorageFailure(written)) degraded_reason_ = written;
     return written;
   }
-  durability_mode_ = DurabilityMode::kDurable;
   degraded_reason_ = Status::OK();
   DegradedRestoresCounter()->Increment();
-  DurabilityModeGauge()->Set(1);
+  PublishMode(durability_mode());
   return Status::OK();
 }
 
-Status KeaSession::WriteCheckpoint(uint64_t covered_seq) {
-  KEA_RETURN_IF_ERROR(SnapshotGenerations::Write(
-      BuildCheckpoint(covered_seq), durability_dir_ + kCheckpointFile,
-      keep_generations_));
-  if (covered_seq > durable_seq_) durable_seq_ = covered_seq;
-  return Status::OK();
+Status KeaSession::WriteCheckpoint() {
+  return SnapshotGenerations::Write(
+      BuildCheckpoint(), durability_dir_ + kCheckpointFile, keep_generations_);
+}
+
+Status KeaSession::Persist() {
+  if (durability_mode() != DurabilityMode::kDurable || in_journaled_round_) {
+    return Status::OK();
+  }
+  Status written = WriteCheckpoint();
+  // The mutation already holds in memory, so the call succeeds. Nothing
+  // re-drives a module APPLY or MODULE_ROLLBACK on resume: until a later
+  // checkpoint lands, a crash loses the effect its ledger event records.
+  if (IsStorageFailure(written)) {
+    EnterDegradedMode(written);
+    return Status::OK();
+  }
+  return written;
+}
+
+std::string KeaSession::InterruptedRun() const {
+  if (ledger_ == nullptr) return "";
+  for (const std::string& run :
+       {RoundKey(round_count_), FabricKey(fabric_count_)}) {
+    if (ledger_->Has(run + "/started")) return run;
+  }
+  return "";
+}
+
+template <class Call>
+auto KeaSession::Gated(const std::string& run, const Call& call)
+    -> decltype(call()) {
+  if (!degraded_reason_.ok()) {
+    return Status::FailedPrecondition(
+        "degraded durability: fleet changes and checkpoints refused until the "
+        "storage plane heals (" + degraded_reason_.message() +
+        "); call TryRestoreDurability");
+  }
+  // Any other fleet change would run on a world the interrupted run has
+  // half-changed, and its checkpoints would then persist that world.
+  const std::string interrupted = InterruptedRun();
+  if (!interrupted.empty() && interrupted != run) {
+    return Status::FailedPrecondition(
+        "interrupted run " + interrupted +
+        " is in flight: only its own driver may change the fleet until it "
+        "finishes");
+  }
+  auto result = call();
+  // Steps that already ran are journaled (or re-drivable); a storage
+  // failure degrades the session so nothing further reaches the fleet.
+  if (IsStorageFailure(StatusOf(result))) EnterDegradedMode(StatusOf(result));
+  return result;
+}
+
+StatusOr<sim::HourIndex> KeaSession::LookbackBegin(int lookback_hours) const {
+  if (lookback_hours <= 0) {
+    return Status::InvalidArgument("lookback_hours must be positive");
+  }
+  if (now_ == 0) {
+    return Status::FailedPrecondition("simulate telemetry before fitting");
+  }
+  return std::max(0, now_ - lookback_hours);
+}
+
+StatusOr<core::WhatIfEngine> KeaSession::FitOn(
+    sim::HourIndex begin, sim::HourIndex end,
+    const core::WhatIfEngine::Options& options) const {
+  return core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, end),
+                                 options);
+}
+
+void KeaSession::RecordFit(sim::HourIndex begin, sim::HourIndex end,
+                           const core::WhatIfEngine::Options& options,
+                           std::optional<sim::HourIndex> deploy_hour) {
+  last_fit_begin_ = begin;
+  last_fit_end_ = end;
+  last_whatif_options_ = options;
+  if (deploy_hour.has_value()) {
+    has_round_ = true;
+    last_deploy_hour_ = *deploy_hour;
+  }
+}
+
+void KeaSession::AdoptEngine(core::WhatIfEngine engine) {
+  last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
+  ++model_epoch_;
 }
 
 StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir) {
@@ -336,22 +405,18 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
   session->durability_dir_ = dir;
   session->ledger_ = std::move(ledger);
   session->deployment_.AttachLedger(session->ledger_.get());
-  session->durability_mode_ = DurabilityMode::kDurable;
   session->resume_generations_discarded_ = restored.discarded;
-  DurabilityModeGauge()->Set(1);
+  PublishMode(session->durability_mode());
 
   // Rebuild the validation engine for a completed round: the fit window and
   // options are checkpointed, the fit itself is deterministic, so the refit
   // matches the engine the crashed process held.
   if (session->has_round_ &&
       session->last_fit_end_ > session->last_fit_begin_) {
-    KEA_ASSIGN_OR_RETURN(
-        core::WhatIfEngine engine,
-        core::WhatIfEngine::Fit(session->store_,
-                                telemetry::HourRangeFilter(
-                                    session->last_fit_begin_,
-                                    session->last_fit_end_),
-                                session->last_whatif_options_));
+    KEA_ASSIGN_OR_RETURN(core::WhatIfEngine engine,
+                         session->FitOn(session->last_fit_begin_,
+                                        session->last_fit_end_,
+                                        session->last_whatif_options_));
     session->last_engine_ =
         std::make_unique<core::WhatIfEngine>(std::move(engine));
   }
@@ -360,129 +425,67 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::Resume(const std::string& dir)
 
 Status KeaSession::FitWhatIfEngine(const core::WhatIfEngine::Options& options,
                                    int lookback_hours) {
-  if (lookback_hours <= 0) {
-    return Status::InvalidArgument("lookback_hours must be positive");
-  }
-  if (now_ == 0) {
-    return Status::FailedPrecondition("simulate telemetry before fitting");
-  }
+  KEA_ASSIGN_OR_RETURN(sim::HourIndex begin, LookbackBegin(lookback_hours));
   KEA_TRACE_SPAN("session.fit_whatif",
                  {{"lookback_hours", std::to_string(lookback_hours)}});
-  sim::HourIndex begin = std::max(0, now_ - lookback_hours);
-  KEA_ASSIGN_OR_RETURN(
-      core::WhatIfEngine engine,
-      core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, now_),
-                              options));
-  last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
-  last_fit_begin_ = begin;
-  last_fit_end_ = now_;
-  last_whatif_options_ = options;
-  ++model_epoch_;
+  KEA_ASSIGN_OR_RETURN(core::WhatIfEngine engine, FitOn(begin, now_, options));
+  RecordFit(begin, now_, options);
+  AdoptEngine(std::move(engine));
   // Fitting is a model operation, not a deployment: in degraded mode it
   // still runs, it just cannot persist.
-  if (ledger_ != nullptr && !in_journaled_round_ &&
-      durability_mode_ != DurabilityMode::kDegraded) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
-    if (!written.ok()) {
-      if (!IsStorageFailure(written)) return written;
-      EnterDegradedMode(written);
-    }
-  }
-  return Status::OK();
+  return Persist();
 }
 
 StatusOr<KeaSession::TuningRound> KeaSession::RunYarnTuningRound(
     const YarnConfigTuner::Options& options, int lookback_hours,
     int deploy_max_step) {
-  if (lookback_hours <= 0) {
-    return Status::InvalidArgument("lookback_hours must be positive");
-  }
-  if (now_ == 0) {
-    return Status::FailedPrecondition("simulate telemetry before tuning");
-  }
-  if (model_health_ != nullptr && model_health_->in_safe_mode()) {
-    return Status::FailedPrecondition(
-        "model-health breaker is open; deployments refused "
-        "(use RunGuardedTuningRound to drive the refit cycle)");
-  }
-  if (durability_mode_ == DurabilityMode::kDegraded) {
-    return DegradedRefusal(degraded_reason_);
-  }
-  KEA_TRACE_SPAN("session.round", {{"kind", "yarn"},
-                                   {"lookback_hours",
-                                    std::to_string(lookback_hours)}});
-  RoundsCounter()->Increment();
-  sim::HourIndex begin = std::max(0, now_ - lookback_hours);
-
-  KEA_ASSIGN_OR_RETURN(
-      core::WhatIfEngine engine,
-      core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, now_),
-                              options.whatif));
-  YarnConfigTuner tuner(options);
-  TuningRound round;
-  KEA_ASSIGN_OR_RETURN(round.plan, tuner.ProposeFromEngine(engine, cluster_));
-  round.fit_begin = begin;
-  round.fit_end = now_;
-
-  core::DeploymentModule::Options deploy_options;
-  deploy_options.max_step = deploy_max_step;
-  // Replacing the module must not reset its history or its ledger-key
-  // counters — a restarted counter would reuse idempotency keys and make a
-  // genuinely new apply look like a replayed one.
-  std::string module_state = deployment_.SerializeState();
-  deployment_ = core::DeploymentModule(deploy_options);
-  KEA_RETURN_IF_ERROR(deployment_.RestoreState(module_state));
-  if (ledger_ != nullptr) deployment_.AttachLedger(ledger_.get());
-  StatusOr<std::vector<core::AppliedChange>> applied =
-      deployment_.ApplyConservatively(round.plan.recommendations, &cluster_);
-  if (!applied.ok()) {
-    // Write-ahead discipline: a failed journal append touched no machine.
-    // Storage failures flip the session to degraded so later rounds are
-    // refused instead of repeatedly hammering a dead disk.
-    if (IsStorageFailure(applied.status())) EnterDegradedMode(applied.status());
-    return applied.status();
-  }
-  round.applied = std::move(applied).value();
-
-  has_round_ = true;
-  last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
-  last_fit_begin_ = begin;
-  last_fit_end_ = now_;
-  last_deploy_hour_ = now_;
-  last_whatif_options_ = options.whatif;
-  ++model_epoch_;
-  if (!round.applied.empty()) ++deploy_epoch_;
-  if (ledger_ != nullptr) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
-    if (!written.ok()) {
-      // The applies are already journaled; only their checkpoint is missing,
-      // which resume's re-drive repairs. Degrade rather than fail the round.
-      if (!IsStorageFailure(written)) return written;
-      EnterDegradedMode(written);
+  return Gated("", [&]() -> StatusOr<TuningRound> {
+    KEA_ASSIGN_OR_RETURN(sim::HourIndex begin, LookbackBegin(lookback_hours));
+    if (model_health_ != nullptr && model_health_->in_safe_mode()) {
+      return Status::FailedPrecondition(
+          "model-health breaker is open; deployments refused "
+          "(use RunGuardedTuningRound to drive the refit cycle)");
     }
-  }
-  return round;
+    KEA_TRACE_SPAN("session.round", {{"kind", "yarn"},
+                                     {"lookback_hours",
+                                      std::to_string(lookback_hours)}});
+    RoundsCounter()->Increment();
+    KEA_ASSIGN_OR_RETURN(core::WhatIfEngine engine,
+                         FitOn(begin, now_, options.whatif));
+    YarnConfigTuner tuner(options);
+    TuningRound round;
+    KEA_ASSIGN_OR_RETURN(round.plan, tuner.ProposeFromEngine(engine, cluster_));
+    round.fit_begin = begin;
+    round.fit_end = now_;
+
+    deployment_.set_options({.max_step = deploy_max_step});
+    // Write-ahead discipline: a failed journal append touched no machine.
+    KEA_ASSIGN_OR_RETURN(round.applied,
+                         deployment_.ApplyConservatively(
+                             round.plan.recommendations, &cluster_));
+    // The batch is the ledger's newest event: the gate admits no module
+    // call while a run is in flight.
+    if (ledger_ != nullptr) durable_seq_ = ledger_->next_seq();
+
+    RecordFit(begin, now_, options.whatif, now_);
+    AdoptEngine(std::move(engine));
+    if (!round.applied.empty()) ++deploy_epoch_;
+    KEA_RETURN_IF_ERROR(Persist());
+    return round;
+  });
 }
 
 StatusOr<KeaSession::GuardedRound> KeaSession::RunGuardedTuningRound(
     const GuardedRoundOptions& options) {
-  // The durability breaker outranks everything: a degraded storage plane
-  // refuses any round (even safe-mode rounds persist breaker state).
-  if (durability_mode_ == DurabilityMode::kDegraded) {
-    return DegradedRefusal(degraded_reason_);
-  }
-  // While the breaker is open the session holds the last known-good config
-  // and only drives the refit cycle.
-  StatusOr<GuardedRound> round =
-      model_health_ != nullptr && model_health_->in_safe_mode()
-          ? RunSafeModeRound(options)
-          : RunRolloutRound(options);
-  if (!round.ok() && IsStorageFailure(round.status())) {
-    // Journaled steps that already ran are on disk (or re-drivable); degrade
-    // so nothing further reaches the fleet until the plane heals.
-    EnterDegradedMode(round.status());
-  }
-  return round;
+  // The durability gate outranks everything: a degraded storage plane
+  // refuses any round (even safe-mode rounds persist breaker state). While
+  // the model-health breaker is open the session holds the last known-good
+  // config and only drives the refit cycle.
+  return Gated(RoundKey(round_count_), [&] {
+    return model_health_ != nullptr && model_health_->in_safe_mode()
+               ? RunSafeModeRound(options)
+               : RunRolloutRound(options);
+  });
 }
 
 StatusOr<KeaSession::GuardedRound> KeaSession::RunSafeModeRound(
@@ -509,11 +512,9 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunSafeModeRound(
   model_health_->NoteRound();
   round.health_state = core::ModelHealth::StateName(model_health_->state());
   round.drift_alarms = TotalDriftAlarms() - alarms_before;
-  if (ledger_ != nullptr) {
-    // Safe-mode rounds deploy nothing, but a passed refit moved the fit
-    // window and breaker state — persist them.
-    KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
-  }
+  // Safe-mode rounds deploy nothing, but a passed refit moved the fit window
+  // and breaker state — persist them.
+  KEA_RETURN_IF_ERROR(Persist());
   return round;
 }
 
@@ -528,9 +529,8 @@ bool KeaSession::AttemptRefit(const GuardedRoundOptions& options) {
   }
   if (holdout_begin <= fit_begin) return false;  // Not enough post-drift data.
 
-  StatusOr<core::WhatIfEngine> fitted = core::WhatIfEngine::Fit(
-      store_, telemetry::HourRangeFilter(fit_begin, holdout_begin),
-      options.tuner.whatif);
+  StatusOr<core::WhatIfEngine> fitted =
+      FitOn(fit_begin, holdout_begin, options.tuner.whatif);
   if (!fitted.ok()) return false;
 
   core::ModelValidator::Options validator_options;
@@ -546,14 +546,8 @@ bool KeaSession::AttemptRefit(const GuardedRoundOptions& options) {
 
   // Gate passed: the refit becomes the session's validation engine and the
   // new known-good fit window.
-  last_engine_ =
-      std::make_unique<core::WhatIfEngine>(std::move(fitted).value());
-  has_round_ = true;
-  last_fit_begin_ = fit_begin;
-  last_fit_end_ = holdout_begin;
-  last_deploy_hour_ = holdout_begin;
-  last_whatif_options_ = options.tuner.whatif;
-  ++model_epoch_;
+  RecordFit(fit_begin, holdout_begin, options.tuner.whatif, holdout_begin);
+  AdoptEngine(std::move(fitted).value());
   return true;
 }
 
@@ -582,7 +576,9 @@ core::JournalContext KeaSession::JournalFor(int64_t run) {
   context.durable_seq = durable_seq_;
   context.round = static_cast<int>(run);
   context.checkpoint = [this](uint64_t covered_seq) {
-    return WriteCheckpoint(covered_seq);
+    // The step's effect is in memory now.
+    durable_seq_ = covered_seq;
+    return WriteCheckpoint();
   };
   return context;
 }
@@ -590,7 +586,7 @@ core::JournalContext KeaSession::JournalFor(int64_t run) {
 StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
     const GuardedRoundOptions& options) {
   const int64_t round_number = round_count_;
-  const std::string round_key = "round/" + std::to_string(round_number);
+  const std::string round_key = RoundKey(round_number);
   core::JournalContext context = JournalFor(round_number);
   core::JournalContext* journal = ledger_ != nullptr ? &context : nullptr;
   KEA_ASSIGN_OR_RETURN(core::JournaledStep step,
@@ -601,31 +597,24 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
   RoundsCounter()->Increment();
   const size_t alarms_before = TotalDriftAlarms();
   GuardedRound round;
-  std::unique_ptr<core::WhatIfEngine> fresh_engine;
+  std::optional<core::WhatIfEngine> fresh_engine;
 
   // --- ROUND_STARTED: journal the fit window and the full plan before any
   // machine is touched. On resume the journaled plan is the authority — the
   // clock has advanced into the rollout, so a refit would see a different
   // window and could propose a different plan.
   auto plan_round = [&]() -> StatusOr<RoundStart> {
-    if (options.lookback_hours <= 0) {
-      return Status::InvalidArgument("lookback_hours must be positive");
-    }
-    if (now_ == 0) {
-      return Status::FailedPrecondition("simulate telemetry before tuning");
-    }
-    sim::HourIndex begin = std::max(0, now_ - options.lookback_hours);
-    KEA_ASSIGN_OR_RETURN(
-        core::WhatIfEngine engine,
-        core::WhatIfEngine::Fit(store_, telemetry::HourRangeFilter(begin, now_),
-                                options.tuner.whatif));
+    KEA_ASSIGN_OR_RETURN(sim::HourIndex begin,
+                         LookbackBegin(options.lookback_hours));
+    KEA_ASSIGN_OR_RETURN(core::WhatIfEngine engine,
+                         FitOn(begin, now_, options.tuner.whatif));
     YarnConfigTuner tuner(options.tuner);
     KEA_ASSIGN_OR_RETURN(YarnConfigTuner::Plan plan,
                          tuner.ProposeFromEngine(engine, cluster_));
     // A corrupted model never reaches the fleet: any non-finite prediction or
     // recommendation aborts before the first canary machine is touched.
     KEA_RETURN_IF_ERROR(CheckPlanSane(plan));
-    fresh_engine = std::make_unique<core::WhatIfEngine>(std::move(engine));
+    fresh_engine = std::move(engine);
     return RoundStart{now_, begin, now_, std::move(plan)};
   };
   KEA_ASSIGN_OR_RETURN(
@@ -664,11 +653,8 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
   // a replayed step, which has no effect.
   auto finish = [&] {
     round_count_ = round_number + 1;
-    has_round_ = true;
-    last_fit_begin_ = round.fit_begin;
-    last_fit_end_ = round.fit_end;
-    last_deploy_hour_ = start_hour;
-    last_whatif_options_ = options.tuner.whatif;
+    RecordFit(round.fit_begin, round.fit_end, options.tuner.whatif,
+              start_hour);
     return Status::OK();
   };
   KEA_RETURN_IF_ERROR(
@@ -684,32 +670,24 @@ StatusOr<KeaSession::GuardedRound> KeaSession::RunRolloutRound(
           .status());
   KEA_RETURN_IF_ERROR(finish());
 
-  ++model_epoch_;
+  if (!fresh_engine.has_value()) {
+    // Resumed round: refit over the journaled window. The filter pins the
+    // window, so the post-deploy telemetry that has accrued since does not
+    // perturb the fit — the engine matches the uninterrupted run's.
+    KEA_ASSIGN_OR_RETURN(
+        fresh_engine, FitOn(round.fit_begin, round.fit_end,
+                            options.tuner.whatif));
+  }
+  AdoptEngine(std::move(*fresh_engine));
   // kNoChange rollouts never touch a machine; anything else changed the
   // fleet's applied configuration at least transiently.
   if (round.rollout.outcome != core::GuardrailedRollout::Outcome::kNoChange) {
     ++deploy_epoch_;
   }
-  if (fresh_engine != nullptr) {
-    last_engine_ = std::move(fresh_engine);
-  } else {
-    // Resumed round: refit over the journaled window. The filter pins the
-    // window, so the post-deploy telemetry that has accrued since does not
-    // perturb the fit — the engine matches the uninterrupted run's.
-    KEA_ASSIGN_OR_RETURN(
-        core::WhatIfEngine engine,
-        core::WhatIfEngine::Fit(
-            store_,
-            telemetry::HourRangeFilter(round.fit_begin, round.fit_end),
-            options.tuner.whatif));
-    last_engine_ = std::make_unique<core::WhatIfEngine>(std::move(engine));
-  }
   FinishRoundHealth(alarms_before, &round);
-  if (step.journaled() && setup_.healing_enabled) {
-    // Persist the post-round breaker/residual state; without this a crash
-    // here would resume with a pre-round ModelHealth.
-    KEA_RETURN_IF_ERROR(WriteCheckpoint(ledger_->next_seq()));
-  }
+  // Persist the post-round breaker/residual state; without this a crash
+  // here would resume with a pre-round ModelHealth.
+  if (setup_.healing_enabled) KEA_RETURN_IF_ERROR(Persist());
   return round;
 }
 
@@ -738,21 +716,15 @@ StatusOr<core::ExperimentFabric::Report> KeaSession::RunExperimentFabric(
   if (now_ == 0) {
     return Status::FailedPrecondition("simulate telemetry before flighting");
   }
-  if (durability_mode_ == DurabilityMode::kDegraded) {
-    return DegradedRefusal(degraded_reason_);
-  }
-  StatusOr<core::ExperimentFabric::Report> report = RunFabric(requests, options);
-  if (!report.ok() && IsStorageFailure(report.status())) {
-    EnterDegradedMode(report.status());
-  }
-  return report;
+  return Gated(FabricKey(fabric_count_),
+               [&] { return RunFabric(requests, options); });
 }
 
 StatusOr<core::ExperimentFabric::Report> KeaSession::RunFabric(
     const std::vector<core::FlightRequest>& requests,
     const FabricRoundOptions& options) {
   const int64_t fabric_number = fabric_count_;
-  const std::string fabric_key = "fab/" + std::to_string(fabric_number);
+  const std::string fabric_key = FabricKey(fabric_number);
   core::JournalContext context = JournalFor(fabric_number);
   core::JournalContext* journal = ledger_ != nullptr ? &context : nullptr;
   KEA_ASSIGN_OR_RETURN(core::JournaledStep step,
@@ -837,20 +809,13 @@ StatusOr<core::ValidationReport> KeaSession::ValidateModels(
 }
 
 Status KeaSession::RollbackLastDeployment() {
-  if (durability_mode_ == DurabilityMode::kDegraded) {
-    return DegradedRefusal(degraded_reason_);
-  }
-  KEA_RETURN_IF_ERROR(deployment_.RollbackLast(&cluster_));
-  ++deploy_epoch_;
-  if (ledger_ != nullptr && !in_journaled_round_) {
-    Status written = WriteCheckpoint(ledger_->next_seq());
-    if (!written.ok()) {
-      if (!IsStorageFailure(written)) return written;
-      // The rollback is journaled; only its checkpoint is missing.
-      EnterDegradedMode(written);
-    }
-  }
-  return Status::OK();
+  return Gated("", [&]() -> Status {
+    KEA_RETURN_IF_ERROR(deployment_.RollbackLast(&cluster_));
+    // As with an apply, the rollback is the ledger's newest event.
+    if (ledger_ != nullptr) durable_seq_ = ledger_->next_seq();
+    ++deploy_epoch_;
+    return Persist();
+  });
 }
 
 StatusOr<CapacityConverter::Report> KeaSession::EstimateCapacityValue(

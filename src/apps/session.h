@@ -2,6 +2,7 @@
 #define KEA_APPS_SESSION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,11 +161,16 @@ class KeaSession {
 
   /// Atomically writes a full-session checkpoint (telemetry, sim clock, RNG
   /// cursors, applied-config state, deployment/ledger bookkeeping) covering
-  /// everything journaled so far. FailedPrecondition before EnableDurability
-  /// and in degraded-durability mode (heal first; see TryRestoreDurability).
+  /// every ledger event whose effect the session holds. FailedPrecondition
+  /// before EnableDurability and in degraded-durability mode (heal first; see
+  /// TryRestoreDurability); a storage failure degrades the session.
   Status Checkpoint();
 
-  DurabilityMode durability_mode() const { return durability_mode_; }
+  DurabilityMode durability_mode() const {
+    if (ledger_ == nullptr) return DurabilityMode::kOff;
+    return degraded_reason_.ok() ? DurabilityMode::kDurable
+                                 : DurabilityMode::kDegraded;
+  }
   /// The storage failure that forced degraded mode; OK when not degraded.
   const Status& degraded_reason() const { return degraded_reason_; }
   /// Checkpoint generations the last Resume() had to discard before finding
@@ -184,9 +190,11 @@ class KeaSession {
 
   /// Reconstructs a session purely from the durable state under `dir`: the
   /// checkpoint defines the state, the ledger defines the progress. A round
-  /// that was in flight at the crash is NOT continued here — the next
-  /// RunGuardedTuningRound() call picks it up from its last journaled step
-  /// and completes it bit-identically to an uninterrupted run.
+  /// (or fabric run) that was in flight at the crash is NOT continued here —
+  /// the next RunGuardedTuningRound() (RunExperimentFabric()) call picks it
+  /// up from its last journaled step and completes it bit-identically to an
+  /// uninterrupted run. Until then every other call that changes the fleet
+  /// is refused with FailedPrecondition naming the run.
   static StatusOr<std::unique_ptr<KeaSession>> Resume(const std::string& dir);
 
   /// Null until EnableDurability has been called.
@@ -337,14 +345,14 @@ class KeaSession {
   struct CheckpointSection;
   static const std::vector<CheckpointSection>& CheckpointSections();
 
-  /// The checkpoint's "meta" section: `covered_seq`, then the session's
-  /// clock, round bookkeeping and epochs.
+  /// The checkpoint's "meta" section: durable_seq_ (the checkpoint's
+  /// ledger_durable_seq), then the session's clock, round bookkeeping and
+  /// epochs.
   template <class Io>
-  void TransferMeta(Io& io, uint64_t& covered_seq);
+  void TransferMeta(Io& io);
 
-  /// Every checkpoint section of the current state, covering `covered_seq`
-  /// ledger events.
-  SnapshotWriter BuildCheckpoint(uint64_t covered_seq);
+  /// Every checkpoint section of the current state.
+  SnapshotWriter BuildCheckpoint();
   /// A session rebuilt from a checkpoint's sections; durability not yet
   /// attached.
   static StatusOr<std::unique_ptr<KeaSession>> FromCheckpoint(
@@ -352,10 +360,41 @@ class KeaSession {
   /// Ledger events a checkpoint covers.
   static StatusOr<uint64_t> CheckpointCoverage(const SnapshotReader& snapshot);
 
-  /// Writes the checkpoint file; `covered_seq` is the number of ledger
-  /// events whose effects the written state contains (recorded as
-  /// ledger_durable_seq and used on resume to split replay from re-drive).
-  Status WriteCheckpoint(uint64_t covered_seq);
+  /// Writes the checkpoint file, recording durable_seq_ as its
+  /// ledger_durable_seq.
+  Status WriteCheckpoint();
+
+  /// Checkpoints after a mutation made outside a journaled run (a no-op inside
+  /// one, or unless kDurable). A storage failure degrades the session instead
+  /// of failing the call; injected crashes and logic errors propagate.
+  Status Persist();
+
+  /// Key ("round/<n>" or "fab/<n>") of the journaled run a crash left in
+  /// flight — its start is recorded, its finish is not — or empty.
+  std::string InterruptedRun() const;
+
+  /// The durability gate of every call that changes the fleet. Refuses it in
+  /// degraded mode, and while an interrupted run is in flight unless `run`
+  /// (the journaled run it drives, empty for none) is that run. Otherwise
+  /// runs it, and degrades the session when it failed on storage.
+  template <class Call>
+  auto Gated(const std::string& run, const Call& call) -> decltype(call());
+
+  /// Start of the fit window [now - lookback_hours, now), after the checks
+  /// every fit shares.
+  StatusOr<sim::HourIndex> LookbackBegin(int lookback_hours) const;
+  /// Fits the What-if engine on the telemetry of [begin, end).
+  StatusOr<core::WhatIfEngine> FitOn(
+      sim::HourIndex begin, sim::HourIndex end,
+      const core::WhatIfEngine::Options& options) const;
+  /// Records the window and options of the validation engine's fit. A
+  /// round's fit (`deploy_hour` set) also becomes the one ValidateModels and
+  /// EstimateCapacityValue look back on.
+  void RecordFit(sim::HourIndex begin, sim::HourIndex end,
+                 const core::WhatIfEngine::Options& options,
+                 std::optional<sim::HourIndex> deploy_hour = std::nullopt);
+  /// Installs `engine` as the validation engine; advances model_epoch.
+  void AdoptEngine(core::WhatIfEngine engine);
 
   /// The journal context of guarded round or fabric run `run`; the drivers
   /// pass it only when durability is on.
@@ -423,10 +462,13 @@ class KeaSession {
   // Durable control plane (null/empty until EnableDurability).
   std::string durability_dir_;
   std::unique_ptr<core::DeploymentLedger> ledger_;
-  /// Ledger events below this are covered by the newest checkpoint.
+  /// The number of ledger events whose effects are in the in-memory state,
+  /// which every checkpoint records. Set by Resume and EnableDurability;
+  /// advanced only by a completed journaled step and a completed
+  /// DeploymentModule apply or rollback.
   uint64_t durable_seq_ = 0;
-  /// Self-healing durability plane state (see DurabilityMode).
-  DurabilityMode durability_mode_ = DurabilityMode::kOff;
+  /// Why the storage plane is failed; OK unless degraded (see
+  /// durability_mode()).
   Status degraded_reason_ = Status::OK();
   int keep_generations_ = 3;
   size_t resume_generations_discarded_ = 0;

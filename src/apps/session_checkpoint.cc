@@ -145,8 +145,8 @@ void Transfer(Io& io, KeaSession::Setup& s) {
 }
 
 template <class Io>
-void KeaSession::TransferMeta(Io& io, uint64_t& covered_seq) {
-  io(covered_seq, now_, has_round_, last_fit_begin_, last_fit_end_,
+void KeaSession::TransferMeta(Io& io) {
+  io(durable_seq_, now_, has_round_, last_fit_begin_, last_fit_end_,
      last_deploy_hour_, round_count_, last_whatif_options_.regressor,
      last_whatif_options_.min_observations, last_whatif_options_.num_threads,
      model_epoch_, deploy_epoch_, fabric_count_, keep_generations_);
@@ -192,10 +192,10 @@ KeaSession::CheckpointSections() {
   return sections;
 }
 
-SnapshotWriter KeaSession::BuildCheckpoint(uint64_t covered_seq) {
+SnapshotWriter KeaSession::BuildCheckpoint() {
   SnapshotWriter snapshot;
   StateWriter meta;
-  TransferMeta(meta, covered_seq);
+  TransferMeta(meta);
   snapshot.AddSection("meta", meta.Release());
   snapshot.AddSection("config", EncodeState(setup_));
   // Telemetry is append-only, so each checkpoint encodes only the rows
@@ -213,7 +213,7 @@ SnapshotWriter KeaSession::BuildCheckpoint(uint64_t covered_seq) {
 StatusOr<uint64_t> KeaSession::CheckpointCoverage(
     const SnapshotReader& snapshot) {
   KEA_ASSIGN_OR_RETURN(std::string blob, snapshot.Section("meta"));
-  // covered_seq leads the meta layout (TransferMeta).
+  // durable_seq_ leads the meta layout (TransferMeta).
   uint64_t covered = 0;
   StateReader meta(blob);
   meta(covered);
@@ -242,7 +242,7 @@ StatusOr<std::unique_ptr<KeaSession>> KeaSession::FromCheckpoint(
   // discards it whole.
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("meta"));
   StateReader meta(blob);
-  session->TransferMeta(meta, session->durable_seq_);
+  session->TransferMeta(meta);
   KEA_RETURN_IF_ERROR(meta.Finish());
 
   KEA_ASSIGN_OR_RETURN(blob, snapshot.Section("telemetry"));

@@ -156,6 +156,15 @@ class Rng {
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 
+/// The generator of one (entity, hour) cell of a seeded fault process:
+/// substream `(entity << 32) | hour` of `seed ^ salt`. Only the low 32 bits
+/// of `entity` and `hour` reach the stream. The telemetry and fleet fault
+/// injectors draw every per-record and per-machine fault from it.
+inline Rng EntityHourRng(uint64_t seed, uint64_t salt, uint64_t entity,
+                         int64_t hour) {
+  return Rng(MixSeed(seed ^ salt, (entity << 32) | static_cast<uint32_t>(hour)));
+}
+
 }  // namespace kea
 
 #endif  // KEA_COMMON_RANDOM_H_

@@ -1,11 +1,19 @@
 #include "core/deployment.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/csv.h"
 #include "common/snapshot.h"
 
 namespace kea::core {
+
+int DeploymentModule::ConservativeTarget(const GroupRecommendation& rec,
+                                         const Options& options) {
+  int delta = rec.recommended_max_containers - rec.current_max_containers;
+  int clamped = std::clamp(delta, -options.max_step, options.max_step);
+  return std::max(rec.current_max_containers + clamped, options.min_containers);
+}
 
 StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
     const std::vector<GroupRecommendation>& recommendations, sim::Cluster* cluster) {
@@ -15,20 +23,19 @@ StatusOr<std::vector<AppliedChange>> DeploymentModule::ApplyConservatively(
   }
 
   // Decide first (pure), then journal the intent, then mutate — write-ahead
-  // ordering so a crash after the ledger append can re-drive the apply.
+  // ordering, so a failed append leaves the cluster untouched.
   std::vector<AppliedChange> applied;
   for (const GroupRecommendation& rec : recommendations) {
-    int delta = rec.recommended_max_containers - rec.current_max_containers;
-    int clamped_delta = std::clamp(delta, -options_.max_step, options_.max_step);
-    int target = std::max(rec.current_max_containers + clamped_delta,
-                          options_.min_containers);
+    int target = ConservativeTarget(rec, options_);
     if (target == rec.current_max_containers) continue;
 
     AppliedChange change;
     change.group = rec.group;
     change.old_max_containers = rec.current_max_containers;
     change.new_max_containers = target;
-    change.clamped = clamped_delta != delta;
+    change.clamped =
+        std::abs(rec.recommended_max_containers - rec.current_max_containers) >
+        options_.max_step;
     applied.push_back(change);
   }
 

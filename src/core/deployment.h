@@ -53,6 +53,15 @@ class DeploymentModule {
   DeploymentModule() : options_(Options()) {}
   explicit DeploymentModule(const Options& options) : options_(options) {}
 
+  /// Replaces the guardrail options; history and ledger keys are kept.
+  void set_options(const Options& options) { options_ = options; }
+
+  /// The conservative target of one recommendation: clamped to +-max_step
+  /// of its current value, floored at min_containers. Equal to the current
+  /// value for a no-op.
+  static int ConservativeTarget(const GroupRecommendation& rec,
+                                const Options& options);
+
   /// Clamps each recommendation to +-max_step of its current value and
   /// applies it to the cluster. No-op recommendations (delta 0 after
   /// clamping) are skipped. Returns the changes applied, which are also kept

@@ -77,17 +77,14 @@ WindowMetrics Measure(const telemetry::TelemetryStore& store,
   return m;
 }
 
-/// Per-group targets clamped to +-max_step of the current configuration,
-/// exactly like DeploymentModule::ApplyConservatively. No-ops are omitted.
+/// Per-group targets through DeploymentModule's own clamp. No-ops are
+/// omitted.
 std::map<sim::MachineGroupKey, int> ClampTargets(
     const std::vector<GroupRecommendation>& recommendations,
     const DeploymentModule::Options& deploy) {
   std::map<sim::MachineGroupKey, int> targets;
   for (const GroupRecommendation& rec : recommendations) {
-    int delta = rec.recommended_max_containers - rec.current_max_containers;
-    int clamped = std::clamp(delta, -deploy.max_step, deploy.max_step);
-    int target =
-        std::max(rec.current_max_containers + clamped, deploy.min_containers);
+    int target = DeploymentModule::ConservativeTarget(rec, deploy);
     if (target != rec.current_max_containers) targets[rec.group] = target;
   }
   return targets;

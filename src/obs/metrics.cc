@@ -226,6 +226,8 @@ std::string FullName(const std::string& name, const std::string& labels) {
   return labels.empty() ? name : name + "{" + labels + "}";
 }
 
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -248,8 +250,6 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string Registry::RenderText(bool include_timing) const {
   // The render IS the epoch boundary: per-thread residue drains into the

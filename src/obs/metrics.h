@@ -55,6 +55,9 @@ void EnableMetrics();
 void DisableMetrics();
 #endif
 
+/// `s` escaped for a JSON string literal (the metric and trace exports).
+std::string JsonEscape(const std::string& s);
+
 /// Disables metrics AND tracing in one call — the runtime kill switch.
 void Disable();
 /// Restores the default state: metrics on, tracing off.

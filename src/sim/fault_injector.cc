@@ -30,13 +30,6 @@ FaultProfile FaultProfile::Moderate() {
   return p;
 }
 
-Rng TelemetryFaultInjector::RecordRng(const telemetry::MachineHourRecord& r,
-                                      uint64_t salt) const {
-  uint64_t id = static_cast<uint64_t>(static_cast<uint32_t>(r.machine_id));
-  uint64_t hour = static_cast<uint64_t>(static_cast<uint32_t>(r.hour));
-  return Rng(MixSeed(seed_ ^ salt, (id << 32) | hour));
-}
-
 std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
     const std::vector<telemetry::MachineHourRecord>& batch) {
   std::vector<telemetry::MachineHourRecord> out;
@@ -70,7 +63,8 @@ std::vector<telemetry::MachineHourRecord> TelemetryFaultInjector::Corrupt(
       }
     }
 
-    Rng rng = RecordRng(r, kRecordSalt);
+    Rng rng = EntityHourRng(seed_, kRecordSalt,
+                            static_cast<uint32_t>(r.machine_id), r.hour);
     if (rng.Bernoulli(profile_.drop_rate)) {
       ++counters_.dropped;
       continue;

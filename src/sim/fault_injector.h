@@ -106,9 +106,6 @@ class TelemetryFaultInjector {
   template <class Io>
   friend void Transfer(Io& io, TelemetryFaultInjector& injector);
 
-  /// Substream for the per-record fault draws.
-  Rng RecordRng(const telemetry::MachineHourRecord& r, uint64_t salt) const;
-
   FaultProfile profile_;
   uint64_t seed_;
   Counters counters_;

@@ -46,12 +46,6 @@ FleetFaultInjector::FleetFaultInjector(const Cluster* cluster,
                                        uint64_t seed)
     : cluster_(cluster), profile_(profile), seed_(seed) {}
 
-Rng FleetFaultInjector::EntityRng(uint64_t salt, uint64_t entity_id,
-                                  HourIndex hour) const {
-  return Rng(MixSeed(seed_ ^ salt,
-                     (entity_id << 32) | static_cast<uint32_t>(hour)));
-}
-
 void FleetFaultInjector::EnsureSized() {
   const auto& machines = cluster_->machines();
   if (down_until_.size() != machines.size()) {
@@ -75,7 +69,7 @@ void FleetFaultInjector::BeginHour(HourIndex hour) {
     if (profile_.rack_outage_rate_per_hour > 0.0) {
       for (size_t r = 0; r < rack_down_until_.size(); ++r) {
         if (rack_down_until_[r] > h) continue;
-        Rng rng = EntityRng(kRackSalt, r, h);
+        Rng rng = EntityHourRng(seed_, kRackSalt, r, h);
         if (rng.Bernoulli(profile_.rack_outage_rate_per_hour)) {
           double d = rng.Exponential(1.0 / profile_.mean_rack_outage_hours);
           rack_down_until_[r] = h + std::max(1, static_cast<int>(d));
@@ -91,7 +85,7 @@ void FleetFaultInjector::BeginHour(HourIndex hour) {
                               rack_down_until_[machines[i].rack] <= h;
 
       if (profile_.permanent_loss_rate_per_hour > 0.0 && machine_up) {
-        Rng rng = EntityRng(kLossSalt, id, h);
+        Rng rng = EntityHourRng(seed_, kLossSalt, id, h);
         if (rng.Bernoulli(profile_.permanent_loss_rate_per_hour)) {
           lost_[i] = 1;
           ++counters_.permanent_losses;
@@ -100,7 +94,7 @@ void FleetFaultInjector::BeginHour(HourIndex hour) {
       }
 
       if (profile_.crash_rate_per_hour > 0.0 && machine_up) {
-        Rng rng = EntityRng(kCrashSalt, id, h);
+        Rng rng = EntityHourRng(seed_, kCrashSalt, id, h);
         if (rng.Bernoulli(profile_.crash_rate_per_hour)) {
           double repair = rng.Exponential(1.0 / profile_.mean_repair_hours);
           down_until_[i] = h + std::max(1, static_cast<int>(repair));
@@ -113,7 +107,7 @@ void FleetFaultInjector::BeginHour(HourIndex hour) {
         speed_[i] = std::min(1.0, speed_[i] + profile_.recovery_per_hour);
         if (speed_[i] >= 1.0) ++counters_.recoveries;
       } else if (profile_.degrade_rate_per_hour > 0.0) {
-        Rng rng = EntityRng(kDegradeSalt, id, h);
+        Rng rng = EntityHourRng(seed_, kDegradeSalt, id, h);
         if (rng.Bernoulli(profile_.degrade_rate_per_hour)) {
           double drop = profile_.degrade_severity * rng.Uniform(0.5, 1.5);
           drop = std::clamp(drop, 0.05, 0.9);

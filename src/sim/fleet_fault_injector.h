@@ -72,9 +72,9 @@ struct MachineHealth {
 /// sees it directly — faults surface only through the normal telemetry
 /// schema (missing machine-hours, inflated latencies, shrunken capacity).
 ///
-/// Every per-entity decision draws from an Rng substream keyed
-/// MixSeed(seed ^ salt, (entity_id << 32) | hour), so the fault pattern for
-/// a given seed is a pure function of (entity, hour) — independent of
+/// Every per-entity decision draws from EntityHourRng (common/random.h), the
+/// substream MixSeed(seed ^ salt, (entity_id << 32) | hour), so the fault
+/// pattern for a given seed is a pure function of (entity, hour) — independent of
 /// iteration order, engine choice, or thread schedule — and the salt family
 /// (0xF1EE7FA0C…) is disjoint from TelemetryFaultInjector's (0x7E1E7E1E…),
 /// so both injectors compose under one session seed without stream
@@ -130,7 +130,6 @@ class FleetFaultInjector {
   friend void Transfer(Io& io, FleetFaultInjector& injector);
 
   void EnsureSized();
-  Rng EntityRng(uint64_t salt, uint64_t entity_id, HourIndex hour) const;
 
   const Cluster* cluster_;
   FleetFaultProfile profile_;

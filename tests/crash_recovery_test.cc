@@ -2,6 +2,7 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -300,6 +301,151 @@ TEST(CrashRecoveryTest, ResumeOfCleanSessionIsBitIdentical) {
   // And validation works on the resumed twin (the fit engine was rebuilt).
   auto validation = (*resumed)->ValidateModels(core::ModelValidator::Options());
   EXPECT_TRUE(validation.ok()) << validation.status();
+}
+
+/// Every per-machine WAVE_APPLIED delta in the ledger is live in the cluster:
+/// a converged round keeps all of its waves.
+void ExpectWaveDeltasApplied(const KeaSession& session) {
+  auto table = ParseCsv(session.ledger()->AppliedChangesCsv());
+  ASSERT_TRUE(table.ok()) << table.status();
+  int kind_col = table->ColumnIndex("kind");
+  int machine_col = table->ColumnIndex("machine_id");
+  int new_col = table->ColumnIndex("new_max_containers");
+  ASSERT_GE(new_col, 0);
+  const auto& machines = session.cluster().machines();
+  int deltas = 0;
+  int missing = 0;
+  for (const auto& row : table->rows) {
+    if (row[static_cast<size_t>(kind_col)] != "wave_machine") continue;
+    ++deltas;
+    const size_t id = std::stoul(row[static_cast<size_t>(machine_col)]);
+    ASSERT_LT(id, machines.size());
+    if (machines[id].max_containers !=
+        std::stoi(row[static_cast<size_t>(new_col)])) {
+      ++missing;
+    }
+  }
+  EXPECT_GT(deltas, 0);
+  EXPECT_EQ(missing, 0) << "of " << deltas << " journaled wave deltas";
+}
+
+/// One small capacity flight on sku 0.
+core::FlightRequest CapacityFlight() {
+  core::FlightRequest flight;
+  flight.name = "cap";
+  flight.treatment.max_containers = 20;
+  flight.machines_per_arm = 4;
+  flight.window_hours = 6;
+  flight.num_windows = 1;
+  return flight;
+}
+
+/// A durable session whose first guarded round died right after journaling
+/// its canary wave's deltas, resumed from disk: the round is in flight and
+/// the deltas' effect is not in the restored state.
+std::unique_ptr<KeaSession> ResumeMidWave(const std::string& dir) {
+  auto session = MakeDurableSession(dir);
+  CrashPoints::Arm("rollout.wave_applied.post_record", 0);
+  auto crashed = session->RunGuardedTuningRound(RoundOptions());
+  CrashPoints::Reset();
+  EXPECT_TRUE(CrashPoints::IsCrash(crashed.status())) << crashed.status();
+  session.reset();
+  auto resumed = KeaSession::Resume(dir);
+  EXPECT_TRUE(resumed.ok()) << resumed.status();
+  return resumed.ok() ? std::move(resumed).value() : nullptr;
+}
+
+TEST(CrashRecoveryTest, CallsBetweenResumeAndContinuationKeepCoverage) {
+  // A checkpoint written between Resume and the round's continuation must
+  // not claim the journaled-but-unapplied wave: otherwise the continuation
+  // replays the wave as bookkeeping and no machine gets its new config.
+  using Call = std::function<Status(KeaSession&)>;
+  const Call simulate = [](KeaSession& s) { return s.Simulate(1); };
+  const Call fit = [](KeaSession& s) {
+    return s.FitWhatIfEngine(core::WhatIfEngine::Options(), kPreludeHours);
+  };
+  const Call checkpoint = [](KeaSession& s) { return s.Checkpoint(); };
+  const std::pair<std::string, std::vector<Call>> cases[] = {
+      {"simulate", {simulate}},
+      {"fit", {fit}},
+      {"checkpoint", {checkpoint}},
+      {"all", {simulate, fit, checkpoint}}};
+  for (const auto& [tag, calls] : cases) {
+    SCOPED_TRACE(tag);
+    auto session = ResumeMidWave(FreshDir("crash_coverage_" + tag));
+    ASSERT_NE(session, nullptr);
+    for (const Call& call : calls) {
+      Status status = call(*session);
+      ASSERT_TRUE(status.ok()) << status;
+    }
+    auto rerun = session->RunGuardedTuningRound(RoundOptions());
+    ASSERT_TRUE(rerun.ok()) << rerun.status();
+    EXPECT_EQ(rerun->rollout.outcome,
+              core::GuardrailedRollout::Outcome::kConverged);
+    ExpectWaveDeltasApplied(*session);
+    ExpectPatchesExactlyOnce(*session->ledger());
+  }
+}
+
+TEST(CrashRecoveryTest, FleetChangesRefusedWhileARoundIsInFlight) {
+  // Only the interrupted round's own driver may touch the fleet until the
+  // round is finished; every other fleet change names the run it waits on.
+  auto session = ResumeMidWave(FreshDir("crash_in_flight_refusals"));
+  ASSERT_NE(session, nullptr);
+  const std::string cluster = ClusterSignature(*session);
+  const uint64_t events = session->ledger()->next_seq();
+
+  const Status refused[] = {
+      session
+          ->RunExperimentFabric({CapacityFlight()},
+                                KeaSession::FabricRoundOptions())
+          .status(),
+      session->RunYarnTuningRound(RoundOptions().tuner, kPreludeHours, 1)
+          .status(),
+      session->RollbackLastDeployment()};
+  for (const Status& status : refused) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_NE(status.message().find("round/0"), std::string::npos) << status;
+  }
+  EXPECT_EQ(ClusterSignature(*session), cluster);
+  EXPECT_EQ(session->ledger()->next_seq(), events);
+
+  // The round's own driver continues it to the uninterrupted outcome.
+  auto rerun = session->RunGuardedTuningRound(RoundOptions());
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(rerun->rollout.outcome,
+            core::GuardrailedRollout::Outcome::kConverged);
+  ExpectWaveDeltasApplied(*session);
+  ExpectPatchesExactlyOnce(*session->ledger());
+}
+
+TEST(CrashRecoveryTest, RoundsRefusedWhileAFabricRunIsInFlight) {
+  const std::string dir = FreshDir("crash_fabric_in_flight");
+  const std::vector<core::FlightRequest> flights = {CapacityFlight()};
+  {
+    auto session = MakeDurableSession(dir);
+    CrashPoints::Arm("session.fabric_started.post_record", 0);
+    auto crashed =
+        session->RunExperimentFabric(flights, KeaSession::FabricRoundOptions());
+    CrashPoints::Reset();
+    ASSERT_TRUE(CrashPoints::IsCrash(crashed.status())) << crashed.status();
+  }
+  auto resumed = KeaSession::Resume(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  KeaSession& session = **resumed;
+
+  auto refused = session.RunGuardedTuningRound(RoundOptions());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("fab/0"), std::string::npos)
+      << refused.status();
+
+  // The fabric's own driver finishes the run; after that rounds run again.
+  auto rerun =
+      session.RunExperimentFabric(flights, KeaSession::FabricRoundOptions());
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(rerun->admitted, 1u);
+  auto round = session.RunGuardedTuningRound(RoundOptions());
+  ASSERT_TRUE(round.ok()) << round.status();
 }
 
 TEST(CrashRecoveryTest, ResumeRequiresACheckpoint) {

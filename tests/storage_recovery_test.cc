@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -508,6 +509,132 @@ TEST_F(StorageRecoveryTest, DegradedModeRefusesDeploymentsUntilHealed) {
   EXPECT_EQ((*resumed)->store().ToCsv(), store);
   EXPECT_EQ((*resumed)->now(), now);
   ExpectPatchesExactlyOnce(*(*resumed)->ledger());
+}
+
+// The degraded-mode policy, one row per public entry point: with the disk
+// still broken, every call that changes the fleet (or persists) is refused
+// without touching the cluster or the ledger, observation keeps flowing, and
+// model fits run in memory without writing a snapshot.
+TEST_F(StorageRecoveryTest, DegradedModePolicyCoversEveryEntryPoint) {
+  const std::string dir = FreshDir("storage_degraded_policy");
+  auto session = MakeDurableSession(dir);
+  const YarnConfigTuner::Options tuner;
+  auto yarn = session->RunYarnTuningRound(tuner, kPreludeHours, 1);
+  ASSERT_TRUE(yarn.ok()) << yarn.status();
+  ASSERT_TRUE(session->deployment().has_pending_batch());
+  ASSERT_TRUE(session->Simulate(4).ok());
+
+  injector_.Reset();
+  injector_.Arm(StorageOp::kWrite, 0, StorageFaultKind::kPersistentEio);
+  ASSERT_TRUE(session->Simulate(1).ok());
+  ASSERT_EQ(session->durability_mode(), KeaSession::DurabilityMode::kDegraded);
+
+  core::FlightRequest flight;
+  flight.name = "cap";
+  flight.treatment.max_containers = 20;
+  flight.machines_per_arm = 4;
+  flight.window_hours = 4;
+  flight.num_windows = 1;
+  const std::pair<std::string, std::function<Status()>> refused[] = {
+      {"RunYarnTuningRound",
+       [&] {
+         return session->RunYarnTuningRound(tuner, kPreludeHours, 1).status();
+       }},
+      {"RunGuardedTuningRound",
+       [&] { return session->RunGuardedTuningRound(RoundOptions()).status(); }},
+      {"RunExperimentFabric",
+       [&] {
+         return session
+             ->RunExperimentFabric({flight}, KeaSession::FabricRoundOptions())
+             .status();
+       }},
+      {"RollbackLastDeployment",
+       [&] { return session->RollbackLastDeployment(); }},
+      {"Checkpoint", [&] { return session->Checkpoint(); }},
+  };
+  for (const auto& [name, call] : refused) {
+    SCOPED_TRACE(name);
+    const std::string cluster = ClusterSignature(*session);
+    const uint64_t events = session->ledger()->next_seq();
+    const sim::HourIndex now = session->now();
+    Status status = call();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_NE(status.message().find("degraded durability"), std::string::npos)
+        << status;
+    EXPECT_EQ(ClusterSignature(*session), cluster);
+    EXPECT_EQ(session->ledger()->next_seq(), events);
+    EXPECT_EQ(session->now(), now);
+    EXPECT_EQ(session->durability_mode(),
+              KeaSession::DurabilityMode::kDegraded);
+  }
+
+  // Observation: the clock advances, the auto-probe finds the disk still
+  // broken, the session stays degraded. Read-only queries keep working.
+  const sim::HourIndex before = session->now();
+  ASSERT_TRUE(session->Simulate(2).ok());
+  EXPECT_EQ(session->now(), before + 2);
+  EXPECT_EQ(session->durability_mode(), KeaSession::DurabilityMode::kDegraded);
+  EXPECT_TRUE(session->ValidateModels(core::ModelValidator::Options()).ok());
+  EXPECT_TRUE(
+      session->EstimateCapacityValue(CapacityConverter::Options()).ok());
+
+  // Model: the fit runs in memory and touches no storage at all.
+  const uint64_t epoch = session->model_epoch();
+  const uint64_t ops = injector_.counters().ops;
+  ASSERT_TRUE(
+      session->FitWhatIfEngine(core::WhatIfEngine::Options(), kPreludeHours)
+          .ok());
+  EXPECT_EQ(session->model_epoch(), epoch + 1);
+  EXPECT_EQ(injector_.counters().ops, ops);
+  EXPECT_EQ(session->durability_mode(), KeaSession::DurabilityMode::kDegraded);
+}
+
+// A checkpoint that fails after an out-of-round mutation degrades the
+// session; the call itself still succeeds (its effect is in memory, and
+// journaled where it touched the fleet).
+TEST_F(StorageRecoveryTest, CheckpointFailureAfterMutationDegrades) {
+  const YarnConfigTuner::Options tuner;
+  // `writes` is the number of storage writes the call makes before its
+  // checkpoint: the module's ledger append, if any.
+  struct Row {
+    std::string name;
+    bool needs_batch;
+    int writes;
+    std::function<Status(KeaSession&)> call;
+  };
+  const Row rows[] = {
+      {"FitWhatIfEngine", false, 0,
+       [](KeaSession& s) {
+         return s.FitWhatIfEngine(core::WhatIfEngine::Options(),
+                                  kPreludeHours);
+       }},
+      {"RunYarnTuningRound", false, 1,
+       [&](KeaSession& s) {
+         return s.RunYarnTuningRound(tuner, kPreludeHours, 1).status();
+       }},
+      {"RollbackLastDeployment", true, 1,
+       [](KeaSession& s) { return s.RollbackLastDeployment(); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    auto session = MakeDurableSession(FreshDir("storage_persist_" + row.name));
+    if (row.needs_batch) {
+      ASSERT_TRUE(session->RunYarnTuningRound(tuner, kPreludeHours, 1).ok());
+    }
+    const uint64_t events = session->ledger()->next_seq();
+    injector_.Reset();
+    injector_.Arm(StorageOp::kWrite, row.writes,
+                  StorageFaultKind::kPersistentEio);
+    Status status = row.call(*session);
+    injector_.Reset();
+    EXPECT_TRUE(status.ok()) << status;
+    EXPECT_EQ(session->durability_mode(),
+              KeaSession::DurabilityMode::kDegraded);
+    EXPECT_TRUE(IsStorageFailure(session->degraded_reason()))
+        << session->degraded_reason();
+    EXPECT_EQ(session->ledger()->next_seq(),
+              events + static_cast<uint64_t>(row.writes));
+  }
 }
 
 // At-rest corruption of the live checkpoint: Resume must fall back to the
